@@ -21,7 +21,7 @@ Usage:
     python examples/dt_sweep.py --backend distributed --ranks 4 \\
                                 --schedule makespan_balanced
     python examples/dt_sweep.py --budget 3600            # planner picks the settings
-    python examples/dt_sweep.py --smoke                  # CI smoke (serial)
+    python examples/dt_sweep.py --smoke                  # CI smoke (serial, store resume)
     python examples/dt_sweep.py --smoke --backend distributed --ranks 4
                                                          # CI distributed smoke
 """
@@ -37,6 +37,7 @@ import numpy as np
 from repro.api import SimulationConfig
 from repro.batch import BatchRunner, SweepSpec
 from repro.exec import ExecutionSettings
+from repro.store import ResultStore
 
 #: the quickstart H2 system driven by a weak laser, swept below
 BASE = {
@@ -85,16 +86,16 @@ def main(backend: str, ranks: int, schedule: str | None, budget: float | None = 
         print(f"Planned for a {budget:g} s wall budget:\n")
         print(execution_plan.plan_table())
         runner = BatchRunner.from_plan(execution_plan)
-        backend = runner.backend
+        backend = runner.settings.backend
     else:
         runner = BatchRunner(
             spec,
-            settings=ExecutionSettings.resolve(
+            settings=ExecutionSettings.from_config(
                 spec.base, backend=backend, ranks=ranks, schedule=schedule
             ),
         )
     print(f"Sweep: {spec.n_jobs} jobs over axes {spec.axis_paths}")
-    print(f"Backend: {runner.backend} (schedule: {runner.schedule})")
+    print(f"Backend: {runner.settings.backend} (schedule: {runner.settings.schedule})")
     if backend == "serial":
         print(f"Shared ground states to converge: {runner.prepare_ground_states()}")
     print()
@@ -129,7 +130,7 @@ def main(backend: str, ranks: int, schedule: str | None, budget: float | None = 
 
 
 def smoke(backend: str, ranks: int, schedule: str | None) -> int:
-    """Tiny sweep + checkpoint resume through the chosen backend; exits
+    """Tiny sweep + store resume through the chosen backend; exits
     nonzero on any failure. With a non-serial backend the deterministic
     report export is additionally checked against the serial reference."""
     base = SimulationConfig.from_dict(
@@ -144,17 +145,17 @@ def smoke(backend: str, ranks: int, schedule: str | None) -> int:
     # exercise scheduling and to give every one of 4 simulated ranks a group
     spec = SweepSpec(base, {"basis.ecut": [1.5, 1.7, 2.0, 2.2], "run.time_step_as": [1.0, 2.0]})
     n_jobs = spec.n_jobs
-    settings = ExecutionSettings.resolve(base, backend=backend, ranks=ranks, schedule=schedule)
-    with tempfile.TemporaryDirectory() as checkpoint_dir:
-        runner = BatchRunner(spec, checkpoint_dir=checkpoint_dir, settings=settings)
+    settings = ExecutionSettings.from_config(base, backend=backend, ranks=ranks, schedule=schedule)
+    with tempfile.TemporaryDirectory() as tmpdir:
+        runner = BatchRunner(spec, store=ResultStore(tmpdir), settings=settings)
         report = runner.run()
         print(report.to_table())
         if [r.status for r in report] != ["completed"] * n_jobs:
             print("smoke FAILED: sweep did not complete", file=sys.stderr)
             return 1
-        resumed = BatchRunner(spec, checkpoint_dir=checkpoint_dir, settings=settings).run()
+        resumed = BatchRunner(spec, store=ResultStore(tmpdir), settings=settings).run()
         if [r.status for r in resumed] != ["cached"] * n_jobs:
-            print("smoke FAILED: resume did not load the checkpoints", file=sys.stderr)
+            print("smoke FAILED: resume did not load the stored results", file=sys.stderr)
             return 1
         if backend != "serial":
             print(report.execution_table())
@@ -169,7 +170,7 @@ def smoke(backend: str, ranks: int, schedule: str | None) -> int:
             print(f"smoke ok: {backend} export is bit-identical to the serial backend")
     print(
         f"smoke ok: {n_jobs} jobs completed on the {backend} backend, "
-        "resume served all of them from checkpoints"
+        "resume served all of them from the store"
     )
     return 0
 

@@ -28,7 +28,7 @@ re-exported :mod:`repro.campaign` layer:
     execution_plan = repro.api.plan(
         {"dt-scan": spec}, budget=repro.api.Budget(max_wall_seconds=3600.0)
     )
-    report = execution_plan.execute("ckpt")     # or repro.api.run(...) in one go
+    report = execution_plan.execute(store="store")  # or repro.api.run(...) in one go
 
 ``plan``/``run``, :class:`~repro.campaign.CampaignSpec`,
 :class:`~repro.campaign.CampaignPlanner`, :class:`~repro.campaign.Budget`,

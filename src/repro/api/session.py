@@ -151,8 +151,8 @@ class Session:
         """Inject a precomputed ground state instead of converging one.
 
         This is the session-reuse hook the execution backends rely on: a
-        checkpointed SCF (:meth:`~repro.pw.ground_state.GroundStateResult.save_npz`
-        round-tripped through a :class:`~repro.batch.CheckpointStore`) is
+        stored SCF (:meth:`~repro.pw.ground_state.GroundStateResult.save_npz`
+        round-tripped through a :class:`~repro.store.ResultStore`) is
         adopted bit-for-bit, so a propagation from it is identical to one from
         an in-session SCF — the propagator re-synchronises the Hamiltonian
         potential from the initial orbitals in its ``prepare`` hook.

@@ -155,11 +155,9 @@ class ExecutionPlan:
     # ------------------------------------------------------------------
     def execute(
         self,
-        checkpoint_dir=None,
         *,
         store=None,
         raise_on_error: bool = False,
-        share_ground_states: bool = True,
         on_sweep_complete=None,
     ):
         """Run every planned sweep (in campaign order, blocking) and return
@@ -171,14 +169,13 @@ class ExecutionPlan:
         single-campaign execution and service execution are one code path
         (and bit-identical in their physics exports).
 
-        ``checkpoint_dir`` gets one subdirectory per sweep name, so campaigns
-        are resumable exactly like single sweeps: re-executing a crashed plan
-        loads every finished job and every converged SCF from disk.
         ``store`` (a :class:`~repro.store.ResultStore` or its root directory)
-        goes further: every sweep of the campaign — and any other campaign
+        makes campaigns resumable exactly like single sweeps, and
+        incremental: every sweep of the campaign — and any other campaign
         sharing the store — is diffed against one content-addressed index,
         so a re-executed plan runs only new/changed configs (zero SCFs, zero
-        propagation steps for a fully warm store) and the hits are stamped
+        propagation steps for a fully warm store; a crashed plan reloads
+        every finished job and every converged SCF) and the hits are stamped
         as ``"cached"`` provenance in the reports.
         ``on_sweep_complete(name, report)``, when given, is called after each
         sweep finishes — mid-campaign feedback without the service API. With
@@ -208,10 +205,8 @@ class ExecutionPlan:
             handle = service.submit(
                 self,
                 name="campaign",
-                checkpoint_dir=checkpoint_dir,
                 store=store,
                 raise_on_error=raise_on_error,
-                share_ground_states=share_ground_states,
                 on_sweep_complete=on_sweep_complete,
             )
             return await handle.report()
@@ -285,7 +280,7 @@ class CampaignPlanner:
         The chosen plan records the calibration as provenance (``as_dict()``
         / ``plan_table()``), and the service runner re-prices its pool
         accounting with the same model. Calibration never touches group keys
-        or ``config_hash`` — re-planning reuses every existing checkpoint.
+        or ``config_hash`` — re-planning reuses every stored result.
     """
 
     def __init__(

@@ -17,6 +17,7 @@ import json
 from ..analysis import format_table
 from ..batch.report import SweepReport
 from ..core.dynamics import json_default
+from ..exec.backends import group_wall_seconds
 
 __all__ = ["CampaignReport"]
 
@@ -36,7 +37,7 @@ def _observed_wall_seconds(report: SweepReport) -> float:
     ]
     if per_rank:
         return max(float(stats.get("observed_seconds") or 0.0) for stats in per_rank)
-    return sum(float(r.summary.get("wall_time") or 0.0) for r in report.results)
+    return group_wall_seconds(report.results)
 
 
 def _drift(predicted, observed) -> str:

@@ -1,18 +1,20 @@
 """Execution backends: where and how the groups of a sweep actually run.
 
-Execution policy used to live inline in :class:`repro.batch.BatchRunner`;
-this module extracts it behind one small surface, the
-:class:`ExecutionBackend` protocol — ``submit_group`` accepts scheduled
-ground-state groups, ``drain`` runs everything and returns the
-:class:`~repro.batch.JobResult` list, ``execution_summary`` reports how the
-work was placed. Three implementations:
+:func:`execute_group` runs one ground-state group in-process; it is the one
+group executor every path goes through — the backends below and the campaign
+service (:func:`repro.service.run_sweep`). :class:`ExecutionBackend` owns the
+machinery around it: ``submit_group`` queues scheduled groups, ``drain`` runs
+them (or :meth:`~ExecutionBackend.run_group` one at a time), every executed
+group gets its ``observed_seconds`` stamped, ``poll``/``cancel`` observe the
+drain and ``execution_summary`` reports how the work was placed. The
+subclasses differ only in where a group runs:
 
-* :class:`SerialBackend` — in-process, in submission order; the only backend
-  that reuses the runner's warm sessions (``prepare_ground_states``).
+* :class:`SerialBackend` — in-process, in submission order, reusing the
+  runner's warm sessions (``prepare_ground_states``).
 * :class:`ProcessPoolBackend` — one worker task per group on a
-  :class:`~concurrent.futures.ProcessPoolExecutor`; falls back to serial
-  execution (with a warning naming the original error and the fallback) when
-  no pool can be created.
+  :class:`~concurrent.futures.ProcessPoolExecutor`; runs serially (with a
+  warning naming the original error and the fallback) when no pool can be
+  created.
 * :class:`DistributedBackend` — places groups onto the virtual ranks of a
   :class:`~repro.parallel.SimCommunicator`. Group dispatch and result
   collection really move serialized payloads through the communicator's
@@ -24,8 +26,8 @@ work was placed. Three implementations:
   sweep traffic.
 
 All backends run whole groups, so the one-SCF-per-group property survives any
-placement, and all of them share the checkpoint/resume and ground-state
-sharing machinery of :func:`execute_group`.
+placement, and all of them share the store and ground-state sharing
+machinery of :func:`execute_group`.
 """
 
 from __future__ import annotations
@@ -33,13 +35,11 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from ..api.session import Session
-from ..batch.checkpoint import CheckpointStore
 from ..batch.report import JobResult
 from ..core.dynamics import json_default
 from ..core.precision import resolve_precision
@@ -54,197 +54,201 @@ __all__ = [
     "ProcessPoolBackend",
     "DistributedBackend",
     "execute_group",
+    "group_record",
+    "group_wall_seconds",
+    "store_record",
 ]
 
 
 def execute_group(
     jobs: list,
-    checkpoint_dir,
-    raise_on_error: bool,
+    *,
     session: Session | None = None,
-    share_ground_states: bool = False,
     store=None,
+    raise_on_error: bool = False,
     batch_stepping: bool = False,
     precision: str = "complex128",
 ) -> list[JobResult]:
     """Run one ground-state group of jobs through a shared session.
 
-    The session is built lazily from the first job's config, so a fully
-    checkpointed group never touches the physics stack at all. With
-    ``raise_on_error`` the first failing job aborts the group *after* the
-    checkpoints of the jobs before it were written — which is what makes a
-    crashed sweep resumable.
-
-    With ``share_ground_states`` (and a store) the group's converged SCF is
-    adopted from / persisted to the store, so a resumed sweep skips even the
-    first group SCF.
-
-    Persistence is served by ``store`` (any
-    :class:`~repro.store.ResultStore`) when given — this is how sweeps,
-    campaigns and service tenants share one content-addressed store —
-    otherwise by a per-directory
-    :class:`~repro.batch.CheckpointStore` over ``checkpoint_dir``.
+    ``store`` (a :class:`~repro.store.ResultStore`, or ``None`` for no
+    persistence) serves every job whose config it already holds as a hit
+    (status ``"cached"``) and receives every job computed here. The session is
+    built lazily from the first job's config, so a fully stored group never
+    touches the physics stack at all. The group's SCF is adopted from the
+    store when it holds it and persisted to it otherwise, so a resumed sweep
+    skips even the group SCF. With ``raise_on_error`` the first failing job
+    aborts the group *after* the results of the jobs before it were stored —
+    which is what makes a crashed sweep resumable.
 
     With ``batch_stepping`` the group's still-uncached jobs are advanced in
     lockstep through :meth:`~repro.api.Session.propagate_many` (stacked FFTs
     across jobs) before the per-job loop below serves them from the session's
-    trajectory cache — checkpoint, error and ground-state semantics are the
+    trajectory cache — store, error and ground-state semantics are the
     per-job loop's, and ``complex128`` physics is bit-identical to the
     unbatched path. ``precision="complex64"`` selects the screening tier:
     those results are stamped in their summaries and **never** loaded from or
     saved to the result store (ground-state sharing still works — the SCF is
     double precision either way).
     """
-    if store is None and checkpoint_dir is not None:
-        store = CheckpointStore(checkpoint_dir)
-    gs_store = store if (share_ground_states and store is not None) else None
     # the store only ever holds/serves double-precision physics
     job_store = store if precision == "complex128" else None
-    gs_persisted = False
-    if batch_stepping:
-        pending = [job for job in jobs if job_store is None or job_store.load(job) is None]
-        if len(pending) > 1:
-            if session is None:
-                session = Session(jobs[0].config)
-            if gs_store is not None and not session.ground_state_ready:
-                shared = gs_store.load_ground_state(pending[0].group_key, basis=session.basis)
-                if shared is not None:
-                    session.adopt_ground_state(shared)
-                    gs_persisted = True  # already on disk, no need to rewrite it
-            try:
-                session.propagate_many(
-                    [
-                        {
-                            "propagator": job.config.propagator.name,
-                            "time_step_as": job.config.run.time_step_as,
-                            "n_steps": job.config.run.n_steps,
-                            "params": dict(job.config.propagator.params),
-                        }
-                        for job in pending
-                    ],
-                    precision=precision,
-                )
-            except Exception:
-                # fall through: the per-job loop below re-runs solo, so the
-                # failure is attributed to (and recorded for) the right job
-                pass
-    results: list[JobResult] = []
-    for job in jobs:
-        if job_store is not None:
-            cached = job_store.load(job)
-            if cached is not None:
-                results.append(cached)
-                continue
+    stored = [None if job_store is None else job_store.load(job) for job in jobs]
+    pending = [job for job, hit in zip(jobs, stored) if hit is None]
+    adopted = False
+    if pending:
         if session is None:
             session = Session(jobs[0].config)
-        if gs_store is not None and not session.ground_state_ready:
-            shared = gs_store.load_ground_state(job.group_key, basis=session.basis)
+        if store is not None and not session.ground_state_ready:
+            shared = store.load_ground_state(pending[0].group_key, basis=session.basis)
             if shared is not None:
                 session.adopt_ground_state(shared)
-                gs_persisted = True  # already on disk, no need to rewrite it
+                adopted = True  # already on disk, no need to rewrite it
+    if batch_stepping and len(pending) > 1:
         try:
-            run_cfg = job.config.run
-            trajectory = session.propagate(
-                job.config.propagator.name,
-                time_step_as=run_cfg.time_step_as,
-                n_steps=run_cfg.n_steps,
-                params=dict(job.config.propagator.params),
+            session.propagate_many(
+                [
+                    {
+                        "propagator": job.config.propagator.name,
+                        "time_step_as": job.config.run.time_step_as,
+                        "n_steps": job.config.run.n_steps,
+                        "params": dict(job.config.propagator.params),
+                    }
+                    for job in pending
+                ],
                 precision=precision,
             )
-        except Exception as exc:
-            if gs_store is not None and not gs_persisted and session.ground_state_ready:
-                # the SCF may have finished before the propagation failed;
-                # persisting it still saves the resume a full reconvergence
-                gs_persisted = _persist_ground_state(gs_store, job.group_key, session)
-            if raise_on_error:
-                raise
-            results.append(JobResult.from_failure(job, exc))
-            continue
-        if gs_store is not None and not gs_persisted:
-            gs_persisted = _persist_ground_state(gs_store, job.group_key, session)
-        result = JobResult.from_trajectory(job, trajectory)
-        if job_store is not None:
+        except Exception:
+            # fall through: the per-job loop below re-runs solo, so the
+            # failure is attributed to (and recorded for) the right job
+            pass
+    results: list[JobResult] = []
+    try:
+        for job, hit in zip(jobs, stored):
+            if hit is not None:
+                results.append(hit)
+                continue
             try:
-                job_store.save(result)
+                run_cfg = job.config.run
+                trajectory = session.propagate(
+                    job.config.propagator.name,
+                    time_step_as=run_cfg.time_step_as,
+                    n_steps=run_cfg.n_steps,
+                    params=dict(job.config.propagator.params),
+                    precision=precision,
+                )
             except Exception as exc:
-                # a persistence failure (full disk, unwritable dir) must not
-                # discard finished physics or abort the sweep: the job stays
-                # completed but unsaved, and a rerun recomputes it
-                result.error = f"checkpoint write failed: {type(exc).__name__}: {exc}"
-                warnings.warn(f"job {job.job_id}: {result.error}")
-        results.append(result)
+                if raise_on_error:
+                    raise
+                results.append(JobResult.from_failure(job, exc))
+                continue
+            result = JobResult.from_trajectory(job, trajectory)
+            if job_store is not None:
+                try:
+                    job_store.save(result)
+                except Exception as exc:
+                    # a persistence failure (full disk, unwritable dir) must
+                    # not discard finished physics or abort the sweep: the job
+                    # stays completed but unsaved, and a rerun recomputes it
+                    result.error = f"checkpoint write failed: {type(exc).__name__}: {exc}"
+                    warnings.warn(f"job {job.job_id}: {result.error}")
+            results.append(result)
+    finally:
+        # also after a failed propagation: the SCF may have finished first,
+        # and persisting it still saves the resume a full reconvergence
+        if pending and store is not None and not adopted and session.ground_state_ready:
+            _persist_ground_state(store, pending[0].group_key, session)
     return results
 
 
-def _persist_ground_state(gs_store: CheckpointStore, group_key: str, session: Session) -> bool:
+def _persist_ground_state(store, group_key: str, session: Session) -> None:
     """Best-effort save of a session's converged SCF; never aborts the sweep."""
     try:
-        if gs_store.has_ground_state(group_key):
-            # already persisted (e.g. by prepare_ground_states warming the
-            # store): skip rewriting the orbital archive, the largest file
-            # in the store
-            return True
-        gs_store.save_ground_state(group_key, session.ground_state())
-        return True
+        # already persisted (e.g. by prepare_ground_states warming the store):
+        # skip rewriting the orbital archive, the largest file in the store
+        if not store.has_ground_state(group_key):
+            store.save_ground_state(group_key, session.ground_state())
     except Exception as exc:
         warnings.warn(f"ground-state checkpoint write failed: {type(exc).__name__}: {exc}")
-        return False
 
 
-def _group_wall_seconds(results) -> float:
+def group_wall_seconds(results) -> float:
     """Summed job wall seconds of one executed group — the ``observed_seconds``
-    every backend stamps on its :class:`~repro.exec.ScheduledGroup`\\ s, which
-    is what calibration observations (:mod:`repro.calib`) pair against the
+    stamped on every executed :class:`~repro.exec.ScheduledGroup`, which is
+    what calibration observations (:mod:`repro.calib`) pair against the
     predicted seconds. Cached hits report ~0 and failures carry no wall time,
     so fully served groups observe nothing (and are skipped by the fit)."""
     return sum(float(r.summary.get("wall_time") or 0.0) for r in results)
+
+
+def _finite(value) -> float | None:
+    """The scheduler's cost-model-failure sentinel is NaN, which is not valid
+    strict JSON — export it as null instead."""
+    return float(value) if np.isfinite(value) else None
+
+
+def group_record(group: ScheduledGroup) -> dict:
+    """The JSON-able execution record of one scheduled group: its placement,
+    predictions, self-describing calibration identity (:mod:`repro.calib`:
+    machine preset, propagator, workload sizes) and the observed wall the
+    executor stamped."""
+    return {
+        "index": group.index,
+        "n_jobs": group.n_jobs,
+        "predicted_cost": _finite(group.predicted_cost),
+        "predicted_seconds": _finite(group.predicted_seconds),
+        "predicted_energy_j": _finite(group.predicted_energy_j),
+        "n_gpus": group.n_gpus,
+        "rank": group.rank,
+        "machine": group.machine,
+        "propagator": group.propagator,
+        "n_bands": group.n_bands,
+        "n_grid": group.n_grid,
+        "observed_seconds": _finite(group.observed_seconds),
+        "repriced_seconds": _finite(group.repriced_seconds),
+    }
+
+
+def store_record(store, results) -> dict:
+    """Cached-vs-computed provenance of a sweep run against ``store``
+    (execution summaries are excluded from the deterministic physics export)."""
+    return {
+        "root": str(store.root),
+        "hits": sum(1 for r in results if r.status == "cached"),
+        "computed": sum(1 for r in results if r.status == "completed"),
+        "failed": sum(1 for r in results if r.status == "failed"),
+    }
 
 
 def _run_group_worker(payload) -> list[dict]:
     """Process-pool entry point: run a group, return JSON-able result dicts.
 
     Results cross the process boundary in dict form (observables only) to
-    avoid pickling wavefunctions and grids; checkpoints written inside the
-    worker keep the full trajectories on disk. FFT threading is capped to one
-    worker first — the pool already owns the cores, and oversubscribing
+    avoid pickling wavefunctions and grids; results stored inside the worker
+    keep the full trajectories on disk. FFT threading is capped to one worker
+    first — the pool already owns the cores, and oversubscribing
     ``workers * fft_threads`` ways degrades every group.
     """
     configure_for_pool_worker()
-    (jobs, checkpoint_dir, raise_on_error, share_ground_states, store,
-     batch_stepping, precision) = payload
-    results = execute_group(
-        jobs,
-        checkpoint_dir,
-        raise_on_error,
-        share_ground_states=share_ground_states,
-        store=store,
-        batch_stepping=batch_stepping,
-        precision=precision,
-    )
-    return [result.to_dict() for result in results]
+    jobs, options = payload
+    return [result.to_dict() for result in execute_group(jobs, **options)]
 
 
 # ---------------------------------------------------------------------------
-# The backend protocol
+# The backends
 # ---------------------------------------------------------------------------
 
 
-class ExecutionBackend(ABC):
+class ExecutionBackend:
     """Where the groups of a sweep run: ``submit_group`` then ``drain``.
 
     Parameters
     ----------
-    checkpoint_dir:
-        Directory for per-job (and shared ground-state) checkpoints;
-        ``None`` disables persistence.
+    store:
+        A :class:`~repro.store.ResultStore` serving and receiving results and
+        shared ground states; ``None`` disables persistence.
     raise_on_error:
         Propagate the first job failure instead of recording it.
-    share_ground_states:
-        Persist/adopt converged SCFs through the checkpoint store (no effect
-        without a store or ``checkpoint_dir``).
-    store:
-        A shared :class:`~repro.store.ResultStore` serving/receiving results;
-        takes precedence over ``checkpoint_dir``.
     batch_stepping:
         Advance each group's uncached jobs in lockstep (see
         :func:`execute_group`).
@@ -253,18 +257,15 @@ class ExecutionBackend(ABC):
         see :mod:`repro.core.precision`).
     """
 
-    #: registry name of the backend (the ``BatchRunner(backend=...)`` string)
+    #: registry name of the backend (the ``ExecutionSettings(backend=...)`` string)
     name = "backend"
 
-    def __init__(self, *, checkpoint_dir=None, raise_on_error: bool = False,
-                 share_ground_states: bool = False, store=None,
+    def __init__(self, *, store=None, raise_on_error: bool = False,
                  batch_stepping: bool = False, precision: str = "complex128"):
-        self.checkpoint_dir = checkpoint_dir
         self.store = store
+        self.raise_on_error = bool(raise_on_error)
         self.batch_stepping = bool(batch_stepping)
         self.precision = resolve_precision(precision)
-        self.raise_on_error = bool(raise_on_error)
-        self.share_ground_states = bool(share_ground_states)
         self.groups: list[ScheduledGroup] = []
         self._drained_groups = 0
         self._drained_jobs = 0
@@ -276,18 +277,49 @@ class ExecutionBackend(ABC):
         """Enqueue one scheduled ground-state group for execution."""
         self.groups.append(group)
 
-    @abstractmethod
+    def _options(self) -> dict:
+        """The :func:`execute_group` keywords every group runs under."""
+        return {
+            "store": self.store,
+            "raise_on_error": self.raise_on_error,
+            "batch_stepping": self.batch_stepping,
+            "precision": self.precision,
+        }
+
+    def _execute(self, group: ScheduledGroup) -> list[JobResult]:
+        """Run one group where this backend runs groups."""
+        return execute_group(group.jobs, **self._options())
+
+    def _finish_group(self, group: ScheduledGroup, results: list[JobResult]) -> list[JobResult]:
+        """Stamp an executed group's observed wall and count it as drained."""
+        group.observed_seconds = group_wall_seconds(results)
+        self._drained_groups += 1
+        self._drained_jobs += group.n_jobs
+        return results
+
+    def run_group(self, group: ScheduledGroup) -> list[JobResult]:
+        """Execute one submitted group now and return its job results.
+
+        This is the step :meth:`drain` repeats; callers that interleave other
+        work between groups (the campaign service's leases and preemption)
+        drive it one group at a time.
+        """
+        return self._finish_group(group, self._execute(group))
+
     def drain(self) -> list[JobResult]:
-        """Run every submitted group and return all job results."""
+        """Run every submitted group (in submission order) and return all job
+        results; stops at the next group boundary once cancelled."""
+        results: list[JobResult] = []
+        for group in self.groups:
+            if self._cancelled:
+                break
+            results.extend(self.run_group(group))
+        self._done = True
+        return results
 
     # ------------------------------------------------------------------
     # Non-blocking observation: poll/cancel beside drain
     # ------------------------------------------------------------------
-    def _record_group_drained(self, group: ScheduledGroup) -> None:
-        """Bookkeeping every drain loop calls once per completed group."""
-        self._drained_groups += 1
-        self._drained_jobs += group.n_jobs
-
     def poll(self) -> dict:
         """Non-blocking progress snapshot of the drain, JSON-serializable.
 
@@ -308,7 +340,7 @@ class ExecutionBackend(ABC):
     def cancel(self) -> int:
         """Ask the drain to stop at the next group boundary.
 
-        Groups already executed keep their results (and checkpoints — a
+        Groups already executed keep their results (and stored entries — a
         cancelled sweep resumes like a crashed one); returns the number of
         submitted groups that had not finished when cancellation was
         requested.
@@ -319,85 +351,33 @@ class ExecutionBackend(ABC):
     # ------------------------------------------------------------------
     def execution_summary(self) -> dict:
         """How the submitted work was (or will be) placed, JSON-serializable."""
-
-        def _finite(value) -> float | None:
-            # the scheduler's cost-model-failure sentinel is NaN, which is not
-            # valid strict JSON — export it as null instead
-            return float(value) if np.isfinite(value) else None
-
         return {
             "backend": self.name,
             "n_groups": len(self.groups),
             "n_jobs": sum(g.n_jobs for g in self.groups),
-            "groups": [
-                {
-                    "index": g.index,
-                    "n_jobs": g.n_jobs,
-                    "predicted_cost": _finite(g.predicted_cost),
-                    "predicted_seconds": _finite(g.predicted_seconds),
-                    "predicted_energy_j": _finite(g.predicted_energy_j),
-                    "n_gpus": g.n_gpus,
-                    "rank": g.rank,
-                    # self-describing calibration identity (repro.calib):
-                    # machine preset, propagator, workload sizes, and the
-                    # observed wall the drain stamped
-                    "machine": g.machine,
-                    "propagator": g.propagator,
-                    "n_bands": g.n_bands,
-                    "n_grid": g.n_grid,
-                    "observed_seconds": _finite(g.observed_seconds),
-                }
-                for g in self.groups
-            ],
+            "groups": [group_record(g) for g in self.groups],
         }
 
 
 class SerialBackend(ExecutionBackend):
     """In-process execution in submission order.
 
-    The only backend that can reuse warm :class:`~repro.api.Session`\\ s (from
+    Reuses warm :class:`~repro.api.Session`\\ s (from
     :meth:`repro.batch.BatchRunner.prepare_ground_states`): pass them as
     ``sessions``, keyed by group key.
     """
 
     name = "serial"
 
-    def __init__(self, *, checkpoint_dir=None, raise_on_error: bool = False,
-                 share_ground_states: bool = False, store=None, sessions: dict | None = None,
-                 batch_stepping: bool = False, precision: str = "complex128"):
-        super().__init__(
-            checkpoint_dir=checkpoint_dir,
-            raise_on_error=raise_on_error,
-            share_ground_states=share_ground_states,
-            store=store,
-            batch_stepping=batch_stepping,
-            precision=precision,
-        )
+    def __init__(self, *, sessions: dict | None = None, **options):
+        super().__init__(**options)
         self.sessions = {} if sessions is None else sessions
 
-    def drain(self) -> list[JobResult]:
-        results: list[JobResult] = []
-        for group in self.groups:
-            if self._cancelled:
-                break
-            group_results = execute_group(
-                group.jobs,
-                self.checkpoint_dir,
-                self.raise_on_error,
-                session=self.sessions.get(group.key),
-                share_ground_states=self.share_ground_states,
-                store=self.store,
-                batch_stepping=self.batch_stepping,
-                precision=self.precision,
-            )
-            group.observed_seconds = _group_wall_seconds(group_results)
-            results.extend(group_results)
-            self._record_group_drained(group)
-        self._done = True
-        return results
+    def _execute(self, group: ScheduledGroup) -> list[JobResult]:
+        return execute_group(group.jobs, session=self.sessions.get(group.key), **self._options())
 
 
-class ProcessPoolBackend(ExecutionBackend):
+class ProcessPoolBackend(SerialBackend):
     """One worker task per group on a process pool.
 
     Whole groups ship to workers, so the one-SCF-per-group property survives
@@ -409,53 +389,14 @@ class ProcessPoolBackend(ExecutionBackend):
 
     name = "process"
 
-    def __init__(self, *, checkpoint_dir=None, raise_on_error: bool = False,
-                 share_ground_states: bool = False, store=None, max_workers: int | None = None,
-                 sessions: dict | None = None, batch_stepping: bool = False,
-                 precision: str = "complex128"):
-        super().__init__(
-            checkpoint_dir=checkpoint_dir,
-            raise_on_error=raise_on_error,
-            share_ground_states=share_ground_states,
-            store=store,
-            batch_stepping=batch_stepping,
-            precision=precision,
-        )
+    def __init__(self, *, max_workers: int | None = None, **options):
+        super().__init__(**options)
         self.max_workers = max_workers
-        self.sessions = {} if sessions is None else sessions
         self.used_fallback = False
-        self._fallback: SerialBackend | None = None
-
-    def _drain_serially(self) -> list[JobResult]:
-        fallback = SerialBackend(
-            checkpoint_dir=self.checkpoint_dir,
-            raise_on_error=self.raise_on_error,
-            share_ground_states=self.share_ground_states,
-            store=self.store,
-            sessions=self.sessions,
-            batch_stepping=self.batch_stepping,
-            precision=self.precision,
-        )
-        fallback._cancelled = self._cancelled
-        self._fallback = fallback
-        for group in self.groups:
-            fallback.submit_group(group)
-        try:
-            return fallback.drain()
-        finally:
-            self._drained_groups = fallback._drained_groups
-            self._drained_jobs = fallback._drained_jobs
-            self._done = fallback._done
-
-    def cancel(self) -> int:
-        pending = super().cancel()
-        if self._fallback is not None:
-            self._fallback.cancel()
-        return pending
 
     def drain(self) -> list[JobResult]:
         if len(self.groups) <= 1:
-            return self._drain_serially()
+            return super().drain()
         workers = min(self.max_workers or os.cpu_count() or 1, len(self.groups))
         try:
             executor = ProcessPoolExecutor(max_workers=workers)
@@ -465,7 +406,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 f"process pool unavailable ({type(exc).__name__}: {exc}); "
                 f"falling back to the '{SerialBackend.name}' execution backend"
             )
-            return self._drain_serially()
+            return super().drain()
         results: list[JobResult] = []
         with executor:
             futures = []
@@ -473,23 +414,13 @@ class ProcessPoolBackend(ExecutionBackend):
                 if self._cancelled:
                     break
                 futures.append(
-                    (
-                        group,
-                        executor.submit(
-                            _run_group_worker,
-                            (group.jobs, self.checkpoint_dir, self.raise_on_error,
-                             self.share_ground_states, self.store,
-                             self.batch_stepping, self.precision),
-                        ),
-                    )
+                    (group, executor.submit(_run_group_worker, (group.jobs, self._options())))
                 )
             for group, future in futures:
                 if self._cancelled and future.cancel():
                     continue  # never started; its jobs simply don't report
                 group_results = [JobResult.from_dict(d) for d in future.result()]
-                group.observed_seconds = _group_wall_seconds(group_results)
-                results.extend(group_results)
-                self._record_group_drained(group)
+                results.extend(self._finish_group(group, group_results))
         self._done = True
         return results
 
@@ -532,18 +463,9 @@ class DistributedBackend(ExecutionBackend):
 
     name = "distributed"
 
-    def __init__(self, *, ranks: int = 4, checkpoint_dir=None, raise_on_error: bool = False,
-                 share_ground_states: bool = False, store=None, comm: SimCommunicator | None = None,
-                 placement: NodePlacement | None = None, batch_stepping: bool = False,
-                 precision: str = "complex128"):
-        super().__init__(
-            checkpoint_dir=checkpoint_dir,
-            raise_on_error=raise_on_error,
-            share_ground_states=share_ground_states,
-            store=store,
-            batch_stepping=batch_stepping,
-            precision=precision,
-        )
+    def __init__(self, *, ranks: int = 4, comm: SimCommunicator | None = None,
+                 placement: NodePlacement | None = None, **options):
+        super().__init__(**options)
         if comm is None and ranks < 1:
             raise ValueError(
                 f"DistributedBackend needs ranks >= 1, got {ranks}; "
@@ -592,65 +514,50 @@ class DistributedBackend(ExecutionBackend):
         text = json.dumps(payload, default=json_default)
         return np.frombuffer(text.encode(), dtype=np.uint8)
 
-    def _assigned_rank(self, group: ScheduledGroup, position: int) -> int:
-        """The group's scheduler-assigned rank, or round-robin when unplaced."""
+    def _assigned_rank(self, group: ScheduledGroup) -> int:
+        """The group's scheduler-assigned rank, or round-robin (by drain
+        position) when unplaced."""
         if group.rank is not None and 0 <= group.rank < self.comm.size:
             return group.rank
-        return position % self.comm.size
+        return self._drained_groups % self.comm.size
 
-    def drain(self) -> list[JobResult]:
-        results: list[JobResult] = []
-        for position, group in enumerate(self.groups):
-            if self._cancelled:
-                break
-            rank = self._assigned_rank(group, position)
-            group.rank = rank
-            stats = self.rank_stats[rank]
+    def _execute(self, group: ScheduledGroup) -> list[JobResult]:
+        rank = self._assigned_rank(group)
+        group.rank = rank
+        stats = self.rank_stats[rank]
 
-            # dispatch: the expanded group spec travels root -> rank
-            dispatch = self._wire(
-                {
-                    "group_index": group.index,
-                    "job_ids": [job.job_id for job in group.jobs],
-                    "configs": [job.config.to_dict() for job in group.jobs],
-                }
-            )
-            self.comm.sendrecv(dispatch, description=f"dispatch group {group.index} -> rank {rank}")
-            stats["dispatch_bytes"] += int(dispatch.nbytes)
-            stats["comm_seconds"] += self.placement.transfer_seconds(dispatch.nbytes, 0, rank)
+        # dispatch: the expanded group spec travels root -> rank
+        dispatch = self._wire(
+            {
+                "group_index": group.index,
+                "job_ids": [job.job_id for job in group.jobs],
+                "configs": [job.config.to_dict() for job in group.jobs],
+            }
+        )
+        self.comm.sendrecv(dispatch, description=f"dispatch group {group.index} -> rank {rank}")
+        stats["dispatch_bytes"] += int(dispatch.nbytes)
+        stats["comm_seconds"] += self.placement.transfer_seconds(dispatch.nbytes, 0, rank)
 
-            # "remote" execution on the rank (in-process, bit-identical physics)
-            group_results = execute_group(
-                group.jobs,
-                self.checkpoint_dir,
-                self.raise_on_error,
-                share_ground_states=self.share_ground_states,
-                store=self.store,
-                batch_stepping=self.batch_stepping,
-                precision=self.precision,
-            )
+        # "remote" execution on the rank (in-process, bit-identical physics)
+        group_results = execute_group(group.jobs, **self._options())
 
-            # results travel rank -> root as observables-only dicts
-            wire = self._wire([result.to_dict() for result in group_results])
-            received = self.comm.sendrecv(wire, description=f"results group {group.index} <- rank {rank}")
-            stats["result_bytes"] += int(wire.nbytes)
-            stats["comm_seconds"] += self.placement.transfer_seconds(wire.nbytes, rank, 0)
-            stats["groups"] += 1
-            stats["jobs"] += group.n_jobs
-            if np.isfinite(group.predicted_cost):
-                stats["predicted_cost"] += float(group.predicted_cost)
-            if np.isfinite(group.predicted_seconds):
-                stats["predicted_seconds"] += float(group.predicted_seconds)
-            if np.isfinite(group.predicted_energy_j):
-                stats["predicted_energy_j"] += float(group.predicted_energy_j)
-            group.observed_seconds = _group_wall_seconds(group_results)
-            stats["observed_seconds"] += group.observed_seconds
+        # results travel rank -> root as observables-only dicts
+        wire = self._wire([result.to_dict() for result in group_results])
+        received = self.comm.sendrecv(wire, description=f"results group {group.index} <- rank {rank}")
+        stats["result_bytes"] += int(wire.nbytes)
+        stats["comm_seconds"] += self.placement.transfer_seconds(wire.nbytes, rank, 0)
+        stats["groups"] += 1
+        stats["jobs"] += group.n_jobs
+        if np.isfinite(group.predicted_cost):
+            stats["predicted_cost"] += float(group.predicted_cost)
+        if np.isfinite(group.predicted_seconds):
+            stats["predicted_seconds"] += float(group.predicted_seconds)
+        if np.isfinite(group.predicted_energy_j):
+            stats["predicted_energy_j"] += float(group.predicted_energy_j)
+        stats["observed_seconds"] += group_wall_seconds(group_results)
 
-            decoded = json.loads(bytes(bytearray(received)).decode())
-            results.extend(JobResult.from_dict(d) for d in decoded)
-            self._record_group_drained(group)
-        self._done = True
-        return results
+        decoded = json.loads(bytes(bytearray(received)).decode())
+        return [JobResult.from_dict(d) for d in decoded]
 
     def execution_summary(self) -> dict:
         summary = super().execution_summary()

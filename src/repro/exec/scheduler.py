@@ -10,7 +10,7 @@ predicted wall seconds and joules on a parameterised Summit by a
 machine*, not by unitless work.
 
 Policies (``run.schedule.policy`` in :class:`~repro.api.SimulationConfig`, or
-the ``schedule=`` argument of :class:`~repro.batch.BatchRunner`):
+``ExecutionSettings(schedule=...)``):
 
 * ``"fifo"`` — expansion order, cost-blind (the pre-existing behaviour);
   packing onto ranks is round-robin.
@@ -36,10 +36,6 @@ from ..cost.model import MachineCostModel, machine_name
 from ..perf.sweep_cost import predict_group_cost, workload_sizes
 
 __all__ = ["SCHEDULE_POLICIES", "ScheduledGroup", "Scheduler"]
-
-#: sentinel distinguishing "build the default machine model" from an explicit
-#: ``machine=None`` (pure relative-FLOP scheduling, no wall-clock predictions)
-_DEFAULT_MACHINE = object()
 
 
 @dataclass
@@ -169,7 +165,8 @@ class Scheduler:
     """
 
     def __init__(
-        self, policy: str = "fifo", cost_fn=None, machine=_DEFAULT_MACHINE,
+        self, policy: str = "fifo", cost_fn=None,
+        machine: MachineCostModel | None = MachineCostModel(),  # frozen: safe to share
         batch_stepping: bool = False, calibration=None,
     ):
         if policy not in SCHEDULE_POLICIES:
@@ -182,7 +179,7 @@ class Scheduler:
             def cost_fn(configs, _batched=self.batch_stepping):
                 return predict_group_cost(configs, batch_stepping=_batched)
         self.cost_fn = cost_fn
-        self.machine = MachineCostModel() if machine is _DEFAULT_MACHINE else machine
+        self.machine = machine
         if calibration is not None and self.machine is not None:
             self.machine = self.machine.calibrated(calibration)
 

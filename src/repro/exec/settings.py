@@ -1,12 +1,10 @@
 """One frozen object describing *how* a sweep executes: ``ExecutionSettings``.
 
-Before this module, execution placement was threaded through three packages as
-loose keywords: ``BatchRunner(backend=..., ranks=..., schedule=...)``, the
-``run.schedule`` / ``run.machine`` config sections consumed by
-:mod:`repro.exec` and :mod:`repro.cost`, and per-backend constructor
-arguments. :class:`ExecutionSettings` collapses all of it into a single frozen,
-JSON-round-trippable value — the thing a :class:`~repro.campaign.CampaignPlanner`
-emits and a :class:`~repro.batch.BatchRunner` consumes:
+It collapses everything about *where and how* a sweep runs — backend, ranks,
+scheduling policy, machine preset, GPUs per group, batched stepping,
+precision — into a single frozen, JSON-round-trippable value: the thing a
+:class:`~repro.campaign.CampaignPlanner` emits and a
+:class:`~repro.batch.BatchRunner` consumes:
 
 .. code-block:: python
 
@@ -17,17 +15,14 @@ emits and a :class:`~repro.batch.BatchRunner` consumes:
 
 Everything in a settings object is *execution-only*: like the config sections
 it mirrors, it never affects job identity — group keys, ``config_hash`` and
-checkpoint ids are computed with ``run.schedule`` / ``run.machine`` excluded,
-so the same sweep re-run under any settings reuses its checkpoints
+store keys are computed with ``run.schedule`` / ``run.machine`` excluded,
+so the same sweep re-run under any settings reuses its stored results
 bit-for-bit.
 
-Resolution order (what :meth:`ExecutionSettings.resolve` implements, and what
-:class:`~repro.batch.BatchRunner` applies):
-
-1. an explicit ``settings=`` object (e.g. from a campaign plan) wins whole;
-2. explicit per-field arguments (the deprecated ``BatchRunner`` keywords);
-3. the base config's ``run.schedule`` / ``run.machine`` sections;
-4. the defaults (serial backend, 4 ranks, ``fifo``, Summit, 1 GPU/group).
+Without an explicit ``settings=`` object, a
+:class:`~repro.batch.BatchRunner` takes :meth:`ExecutionSettings.from_config`
+of its base config — the ``run.schedule`` / ``run.machine`` sections over the
+defaults (serial backend, 4 ranks, ``fifo``, Summit, 1 GPU/group).
 """
 
 from __future__ import annotations
@@ -95,8 +90,8 @@ class ExecutionSettings:
                 f"backend must be one of {list(BACKEND_NAMES)} "
                 f"('serial', 'process' or 'distributed'), got {self.backend!r}"
             )
-        # integral floats are coerced (the pre-settings BatchRunner accepted
-        # ranks=4.0, and JSON-sourced settings dicts may carry 4.0 too)
+        # integral floats are coerced (JSON-sourced settings dicts may carry
+        # ranks=4.0)
         for name in ("ranks", "gpus_per_group"):
             value = getattr(self, name)
             try:
@@ -121,12 +116,11 @@ class ExecutionSettings:
         object.__setattr__(self, "precision", resolve_precision(self.precision))
 
     # ------------------------------------------------------------------
-    # Construction: from configs, with explicit overrides layered on top
-    # ------------------------------------------------------------------
     @classmethod
     def from_config(cls, config, **overrides) -> "ExecutionSettings":
         """The settings a config's ``run.schedule`` / ``run.machine`` sections
-        describe, with any keyword overrides applied on top."""
+        describe, with any keyword overrides applied on top (a ``None``
+        override means "not specified" and falls through)."""
         machine = dict(getattr(config.run, "machine", {}) or {})
         schedule = dict(getattr(config.run, "schedule", {}) or {})
         resolved = {
@@ -138,28 +132,6 @@ class ExecutionSettings:
         }
         resolved.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**resolved)
-
-    @classmethod
-    def resolve(
-        cls,
-        config,
-        *,
-        backend: str | None = None,
-        ranks: int | None = None,
-        schedule: str | None = None,
-        max_workers: int | None = None,
-    ) -> "ExecutionSettings":
-        """Layer the legacy per-field arguments over the config's sections.
-
-        ``None`` means "not specified": the value falls through to the
-        config's ``run.schedule`` / ``run.machine`` sections, then to the
-        dataclass defaults. This is the resolution the deprecated
-        ``BatchRunner(backend=..., ranks=..., schedule=...)`` keywords go
-        through.
-        """
-        return cls.from_config(
-            config, backend=backend, ranks=ranks, schedule=schedule, max_workers=max_workers
-        )
 
     # ------------------------------------------------------------------
     # The objects the settings describe
@@ -197,7 +169,7 @@ class ExecutionSettings:
         sections.
 
         Both sections are excluded from group keys and ``config_hash``, so
-        stamping is pure provenance: every job id, group key and checkpoint of
+        stamping is pure provenance: every job id, group key and store key of
         the spec is unchanged — reports become self-describing without
         touching identity.
         """

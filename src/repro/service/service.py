@@ -12,8 +12,8 @@ lease disjoint nodes from the shared :class:`~repro.service.NodePool`, so
 independent campaigns co-schedule side by side and the pool's modeled
 makespan beats the serial sum of their plans whenever capacity allows.
 Priorities are enforced by the pool: a higher-priority arrival reclaims
-leases at group boundaries, and the preempted sweeps resume from their
-checkpoints.
+leases at group boundaries, and the preempted sweeps resume at the next
+unfinished group.
 
 The service is also where the **calibration loop** closes (see
 :mod:`repro.calib`): when it holds a store, every finished sweep's execution
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import os
 import time
 import warnings
 
@@ -52,17 +51,12 @@ class CampaignService:
     pool:
         The shared :class:`~repro.service.NodePool` (default: a whole modeled
         Summit).
-    checkpoint_dir:
-        Service-level checkpoint root; each campaign gets a subdirectory
-        named after it (its sweeps one more level down), so preempted or
-        crashed campaigns resume like any sweep. A per-submission
-        ``checkpoint_dir`` overrides this and is used as-is.
     store:
         Service-level :class:`~repro.store.ResultStore` (or its root
         directory) shared by *every* submission: any tenant's sweep serves a
         hit for a config any other tenant already computed, which is what
-        makes re-submitted campaigns incremental. A per-submission ``store``
-        overrides this.
+        makes re-submitted campaigns incremental and crashed ones resumable.
+        A per-submission ``store`` overrides this.
     calibration:
         ``None`` (plan with the pristine cost model), a fitted
         :class:`~repro.calib.CalibrationModel`, or the string ``"store"`` —
@@ -84,7 +78,6 @@ class CampaignService:
         self,
         pool: NodePool | None = None,
         *,
-        checkpoint_dir=None,
         store=None,
         calibration=None,
         adaptive: bool = False,
@@ -93,7 +86,6 @@ class CampaignService:
         from ..store.store import ResultStore
 
         self.pool = NodePool() if pool is None else pool
-        self.checkpoint_dir = checkpoint_dir
         if store is not None and not isinstance(store, ResultStore):
             store = ResultStore(store)
         self.store = store
@@ -203,10 +195,8 @@ class CampaignService:
         *,
         priority: int = 0,
         name: str | None = None,
-        checkpoint_dir=None,
         store=None,
         raise_on_error: bool = False,
-        share_ground_states: bool = True,
         on_sweep_complete=None,
         adaptive: bool | None = None,
         drift_threshold: float | None = None,
@@ -248,8 +238,6 @@ class CampaignService:
         plan = self._admit(campaign, budget, planner_options, calibration)
         if name is None:
             name = f"campaign-{next(self._names)}"
-        if checkpoint_dir is None and self.checkpoint_dir is not None:
-            checkpoint_dir = os.path.join(os.fspath(self.checkpoint_dir), name)
         if store is None:
             store = self.store
         elif not isinstance(store, ResultStore):
@@ -258,10 +246,8 @@ class CampaignService:
         handle._task = loop.create_task(
             self._run_campaign(
                 handle,
-                checkpoint_dir=checkpoint_dir,
                 store=store,
                 raise_on_error=raise_on_error,
-                share_ground_states=share_ground_states,
                 on_sweep_complete=on_sweep_complete,
                 adaptive=self.adaptive if adaptive is None else bool(adaptive),
                 drift_threshold=(
@@ -279,10 +265,8 @@ class CampaignService:
         self,
         handle: CampaignHandle,
         *,
-        checkpoint_dir,
         store,
         raise_on_error: bool,
-        share_ground_states: bool,
         on_sweep_complete,
         adaptive: bool,
         drift_threshold: float,
@@ -292,9 +276,6 @@ class CampaignService:
         cursor = self.pool.start_time
         try:
             for sweep_name in plan.sweep_names:
-                sweep_dir = None
-                if checkpoint_dir is not None:
-                    sweep_dir = os.path.join(os.fspath(checkpoint_dir), sweep_name)
                 start = time.perf_counter()
                 try:
                     outcome = await run_sweep(
@@ -305,10 +286,8 @@ class CampaignService:
                         name=sweep_name,
                         priority=handle.priority,
                         arrival=cursor,  # a campaign's own sweeps still serialise
-                        checkpoint_dir=sweep_dir,
                         store=store,
                         raise_on_error=raise_on_error,
-                        share_ground_states=share_ground_states,
                         progress=handle._progress[sweep_name],
                         calibration=getattr(plan, "calibration", None),
                         adaptive=adaptive,

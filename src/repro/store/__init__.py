@@ -5,9 +5,8 @@ exactly once under sha256-named object files with a JSON manifest index,
 keyed by config hash so any sweep, campaign or service tenant anywhere
 serves a hit. Writes are tmp-then-``os.replace`` atomic; reads re-verify
 size and digest and quarantine anything corrupt instead of resuming from
-wrong physics. The legacy per-directory
-:class:`~repro.batch.checkpoint.CheckpointStore` is a thin compatibility
-shim over this store.
+wrong physics. ``store=`` is the one persistence argument of every sweep,
+campaign and service entry point.
 """
 
 from .store import ResultStore, ground_state_hash

@@ -3,7 +3,7 @@
 Contains the acceptance tests of the batch engine: a one-call
 {PT-CN, RK4} x {2 dt} sweep reproduces the fig6-style comparison while
 converging exactly one SCF, and a sweep that crashes mid-way resumes from its
-checkpoints without recomputing the finished jobs.
+stored results without recomputing the finished jobs.
 """
 
 import json
@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from repro.api import PROPAGATORS, Session, SimulationConfig
-from repro.batch import BatchRunner, CheckpointStore, SweepSpec
+from repro.batch import BatchRunner, SweepSpec, config_hash
+from repro.exec import ExecutionSettings
+from repro.store import ResultStore
 
 
 @pytest.fixture()
@@ -72,7 +74,7 @@ class TestSharedGroundState:
 
 
 # ---------------------------------------------------------------------------
-# Acceptance: checkpointing and resume-after-crash
+# Acceptance: store persistence and resume-after-crash
 # ---------------------------------------------------------------------------
 
 
@@ -92,11 +94,11 @@ class TestCheckpointResume:
                 tiny_config,
                 {"propagator.name": ["ptcn", name], "run.time_step_as": [1.0, 2.0]},
             )
-            runner = BatchRunner(spec, checkpoint_dir=tmp_path, raise_on_error=True)
+            runner = BatchRunner(spec, store=ResultStore(tmp_path), raise_on_error=True)
             with pytest.raises(RuntimeError, match="simulated mid-sweep crash"):
                 runner.run()
-            store = CheckpointStore(tmp_path)
-            assert len(store.completed_ids()) == 2  # both ptcn jobs got checkpointed
+            store = ResultStore(tmp_path)
+            assert len(store.completed_ids()) == 2  # both ptcn jobs got stored
             first_energies = {
                 job.job_id: store.load(job).trajectory.energies
                 for job in spec.expand()
@@ -109,7 +111,7 @@ class TestCheckpointResume:
             # and the crashed run persisted the group's converged SCF, so the
             # resumed half adopts it instead of reconverging (zero new SCFs)
             PROPAGATORS.register(name, PROPAGATORS.get("rk4"), overwrite=True)
-            report = BatchRunner(spec, checkpoint_dir=tmp_path, raise_on_error=True).run()
+            report = BatchRunner(spec, store=ResultStore(tmp_path), raise_on_error=True).run()
             assert [r.status for r in report] == ["cached", "cached", "completed", "completed"]
             assert len(count_scf_solves) == scf_after_crash  # shared SCF adopted from the store
             for result in report:
@@ -121,29 +123,30 @@ class TestCheckpointResume:
             PROPAGATORS.unregister(name)
 
     def test_full_rerun_is_all_cached_with_zero_scf(self, ptcn_rk4_spec, tmp_path, count_scf_solves):
-        BatchRunner(ptcn_rk4_spec, checkpoint_dir=tmp_path).run()
+        BatchRunner(ptcn_rk4_spec, store=ResultStore(tmp_path)).run()
         scf_first = len(count_scf_solves)
-        report = BatchRunner(ptcn_rk4_spec, checkpoint_dir=tmp_path).run()
+        report = BatchRunner(ptcn_rk4_spec, store=ResultStore(tmp_path)).run()
         assert [r.status for r in report] == ["cached"] * 4
         assert len(count_scf_solves) == scf_first  # fully checkpointed: no physics at all
-        assert BatchRunner(ptcn_rk4_spec, checkpoint_dir=tmp_path).prepare_ground_states() == 0
+        assert BatchRunner(ptcn_rk4_spec, store=ResultStore(tmp_path)).prepare_ground_states() == 0
 
     def test_stale_checkpoint_is_recomputed(self, tiny_config, tmp_path):
         spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0]})
-        BatchRunner(spec, checkpoint_dir=tmp_path).run()
+        BatchRunner(spec, store=ResultStore(tmp_path)).run()
         job = spec.expand()[0]
-        store = CheckpointStore(tmp_path)
-        manifest = json.loads(store.manifest_path(job.job_id).read_text())
+        store = ResultStore(tmp_path)
+        manifest_path = store.job_manifest_path(config_hash(job.config))
+        manifest = json.loads(manifest_path.read_text())
         manifest["config_hash"] = "deadbeef0000"
-        store.manifest_path(job.job_id).write_text(json.dumps(manifest))
+        manifest_path.write_text(json.dumps(manifest))
         assert not store.has(job)
         assert store.load(job) is None
-        report = BatchRunner(spec, checkpoint_dir=tmp_path).run()
+        report = BatchRunner(spec, store=ResultStore(tmp_path)).run()
         assert report.results[0].status == "completed"  # recomputed, not trusted
 
     def test_cached_trajectory_keeps_metadata_provenance(self, ptcn_rk4_spec, tmp_path):
-        BatchRunner(ptcn_rk4_spec, checkpoint_dir=tmp_path).run()
-        report = BatchRunner(ptcn_rk4_spec, checkpoint_dir=tmp_path).run()
+        BatchRunner(ptcn_rk4_spec, store=ResultStore(tmp_path)).run()
+        report = BatchRunner(ptcn_rk4_spec, store=ResultStore(tmp_path)).run()
         for result in report:
             assert result.status == "cached"
             metadata = result.trajectory.metadata
@@ -162,11 +165,11 @@ class TestCheckpointResume:
             tiny_config,
             {"run.n_steps": np.arange(1, 3), "run.time_step_as": np.linspace(1.0, 2.0, 2)},
         )
-        report = BatchRunner(spec, checkpoint_dir=tmp_path).run()
+        report = BatchRunner(spec, store=ResultStore(tmp_path)).run()
         assert [r.status for r in report] == ["completed"] * 4
         assert all(r.error is None for r in report)
         json.loads(report.to_json())
-        resumed = BatchRunner(spec, checkpoint_dir=tmp_path).run()
+        resumed = BatchRunner(spec, store=ResultStore(tmp_path)).run()
         assert [r.status for r in resumed] == ["cached"] * 4
 
     def test_checkpoint_write_failure_keeps_completed_result(self, tiny_config, tmp_path, monkeypatch):
@@ -177,9 +180,9 @@ class TestCheckpointResume:
         def boom(self, result):
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(CheckpointStore, "save", boom)
+        monkeypatch.setattr(ResultStore, "save", boom)
         with pytest.warns(UserWarning, match="checkpoint write failed"):
-            report = BatchRunner(spec, checkpoint_dir=tmp_path).run()
+            report = BatchRunner(spec, store=ResultStore(tmp_path)).run()
         assert [r.status for r in report] == ["completed", "completed"]
         assert all(r.trajectory is not None for r in report)
         assert all("No space left" in r.error for r in report)
@@ -216,7 +219,9 @@ class TestProcessBackend:
     def test_process_backend_matches_serial(self, tiny_config):
         spec = SweepSpec(tiny_config, {"basis.ecut": [1.5, 2.0]})
         serial = BatchRunner(spec).run()
-        parallel = BatchRunner(spec, backend="process", max_workers=2).run()
+        parallel = BatchRunner(
+            spec, settings=ExecutionSettings(backend="process", max_workers=2)
+        ).run()
         assert [r.status for r in parallel] == ["completed", "completed"]
         for a, b in zip(serial, parallel):
             assert a.job_id == b.job_id
@@ -225,13 +230,13 @@ class TestProcessBackend:
 
     def test_single_group_process_sweep_stays_in_process(self, ptcn_rk4_spec, count_scf_solves):
         # one ground-state group: nothing to parallelise over, serial path used
-        report = BatchRunner(ptcn_rk4_spec, backend="process").run()
+        report = BatchRunner(ptcn_rk4_spec, settings=ExecutionSettings(backend="process")).run()
         assert [r.status for r in report] == ["completed"] * 4
         assert len(count_scf_solves) == 1
 
     def test_unknown_backend_raises(self, ptcn_rk4_spec):
         with pytest.raises(ValueError, match="serial"):
-            BatchRunner(ptcn_rk4_spec, backend="threads")
+            BatchRunner(ptcn_rk4_spec, settings={"backend": "threads"})
 
 
 # ---------------------------------------------------------------------------

@@ -60,12 +60,13 @@ class TestExecution:
 
     def test_campaign_checkpoints_resume_per_sweep(self, small_campaign, tmp_path, count_scf_solves):
         execution_plan = plan(small_campaign)
-        execution_plan.execute(tmp_path)
+        execution_plan.execute(store=tmp_path)
         first_scfs = len(count_scf_solves)
-        assert first_scfs == 3  # 2 cutoff groups + 1 dt group
-        assert (tmp_path / "cutoff").is_dir() and (tmp_path / "dt").is_dir()
+        # 2 cutoff groups + 1 dt group, but the dt group's ground state is the
+        # ecut=2.0 group's: the shared store serves it across sweeps
+        assert first_scfs == 2
 
-        resumed = execution_plan.execute(tmp_path)
+        resumed = execution_plan.execute(store=tmp_path)
         assert len(count_scf_solves) == first_scfs  # zero new SCFs
         for name in resumed.sweep_names:
             assert [r.status for r in resumed[name]] == ["cached"] * 2

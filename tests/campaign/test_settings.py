@@ -1,5 +1,5 @@
 """ExecutionSettings: validation, config resolution, identity preservation,
-and the BatchRunner redesign around it (settings= path + deprecation shims).
+and the BatchRunner redesign around it (the settings= path).
 """
 
 import pytest
@@ -49,8 +49,8 @@ class TestValidation:
             ExecutionSettings(max_workers=0)
 
     def test_integral_floats_coerced_for_legacy_and_json_paths(self):
-        """The pre-settings BatchRunner accepted ranks=4.0 and JSON-sourced
-        settings dicts carry floats; both must keep working."""
+        """Integral floats (ranks=4.0, as JSON-sourced settings dicts carry
+        them) are coerced to int."""
         settings = ExecutionSettings(backend="distributed", ranks=4.0, gpus_per_group=2.0)
         assert settings.ranks == 4 and isinstance(settings.ranks, int)
         assert settings.gpus_per_group == 2 and isinstance(settings.gpus_per_group, int)
@@ -74,14 +74,14 @@ class TestResolution:
 
     def test_explicit_arguments_override_the_config(self):
         config = SimulationConfig.from_dict({"run": {"schedule": {"policy": "energy_aware"}}})
-        settings = ExecutionSettings.resolve(config, backend="distributed", ranks=2, schedule="fifo")
+        settings = ExecutionSettings.from_config(config, backend="distributed", ranks=2, schedule="fifo")
         assert settings.backend == "distributed"
         assert settings.ranks == 2
         assert settings.schedule == "fifo"
 
     def test_none_arguments_fall_through_to_the_config(self):
         config = SimulationConfig.from_dict({"run": {"schedule": {"policy": "cheapest_first"}}})
-        settings = ExecutionSettings.resolve(config, backend=None, schedule=None)
+        settings = ExecutionSettings.from_config(config, backend=None, schedule=None)
         assert settings.schedule == "cheapest_first"
         assert settings.backend == "serial"
 
@@ -155,44 +155,36 @@ class TestIdentityPreservation:
 
 
 class TestBatchRunnerRedesign:
-    def test_settings_object_is_the_first_class_path(self, tiny_config, recwarn):
+    def test_settings_object_is_the_first_class_path(self, tiny_config):
         spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0, 2.0]})
         settings = ExecutionSettings(backend="distributed", ranks=2, schedule="makespan_balanced")
         runner = BatchRunner(spec, settings=settings)
         assert runner.settings is settings
-        assert runner.backend == "distributed"
-        assert runner.ranks == 2
-        assert runner.schedule == "makespan_balanced"
-        assert not [w for w in recwarn.list if issubclass(w.category, DeprecationWarning)]
+        assert runner.scheduler.policy == "makespan_balanced"
 
     def test_settings_accepts_the_dict_form(self, tiny_config):
         spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0]})
         runner = BatchRunner(spec, settings={"backend": "process", "max_workers": 2})
-        assert runner.backend == "process"
-        assert runner.max_workers == 2
+        assert runner.settings == ExecutionSettings(backend="process", max_workers=2)
 
-    def test_settings_default_resolves_from_the_config(self, tiny_config, recwarn):
+    def test_settings_default_resolves_from_the_config(self, tiny_config):
         config = tiny_config.with_overrides(
             {"run.schedule": {"policy": "energy_aware"}, "run.machine": {"name": "frontier"}}
         )
         runner = BatchRunner(SweepSpec(config, {"run.time_step_as": [1.0]}))
         assert runner.settings.schedule == "energy_aware"
         assert runner.settings.machine == "frontier"
-        assert runner.machine.system is MACHINES["frontier"]
-        assert not [w for w in recwarn.list if issubclass(w.category, DeprecationWarning)]
+        assert runner.scheduler.machine.system is MACHINES["frontier"]
 
-    def test_legacy_keywords_warn_and_still_work(self, tiny_config):
-        spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0, 2.0]})
-        with pytest.warns(DeprecationWarning, match=r"backend.*ranks.*ExecutionSettings"):
-            runner = BatchRunner(spec, backend="distributed", ranks=2)
-        assert runner.settings == ExecutionSettings(backend="distributed", ranks=2)
-        report = runner.run()
-        assert [r.status for r in report] == ["completed", "completed"]
+    def test_constructor_takes_settings_and_store_only(self):
+        """settings= and store= are the whole execution/persistence surface."""
+        import inspect
 
-    def test_settings_and_legacy_keywords_are_mutually_exclusive(self, tiny_config):
-        spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0]})
-        with pytest.raises(ValueError, match=r"settings=.*\['ranks'\]"):
-            BatchRunner(spec, settings=ExecutionSettings(), ranks=2)
+        params = list(inspect.signature(BatchRunner.__init__).parameters)
+        assert params == ["self", "spec", "settings", "store", "raise_on_error"]
+        assert list(inspect.signature(BatchRunner.from_plan).parameters) == [
+            "plan", "name", "store", "raise_on_error",
+        ]
 
     def test_backend_names_reexported_for_compat(self):
         from repro.batch.runner import BACKEND_NAMES as runner_names

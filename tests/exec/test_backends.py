@@ -1,19 +1,35 @@
 """Execution backends: distributed equivalence, comm accounting, gs sharing.
 
 Acceptance tests of the backend layer: ``BatchRunner(spec,
-backend="distributed", ranks=4)`` runs a >=4-group sweep over the simulated
-MPI runtime, reports per-rank communication volume, and its deterministic
-report export is bit-identical to the serial backend's; the process-pool
-fallback warning names the original error and the fallback backend; shared
-ground-state checkpoints let resumed sweeps skip every SCF.
+settings=ExecutionSettings(backend="distributed", ranks=4))`` runs a >=4-group
+sweep over the simulated MPI runtime, reports per-rank communication volume,
+and its deterministic report export is bit-identical to the serial backend's;
+the process-pool fallback warning names the original error and the fallback
+backend; ground states shared through the store let resumed sweeps skip every
+SCF.
 """
+
+import json
 
 import numpy as np
 import pytest
 
-from repro.batch import BatchRunner, CheckpointStore, SweepSpec
-from repro.exec import DistributedBackend, Scheduler, SerialBackend
+from repro.batch import BatchRunner, SweepReport, SweepSpec
+from repro.exec import DistributedBackend, ExecutionSettings, Scheduler, SerialBackend
 from repro.parallel import SimCommunicator
+from repro.store import ResultStore
+
+
+def on_ranks(ranks: int, **fields) -> ExecutionSettings:
+    """Settings of the distributed backend over ``ranks`` virtual ranks."""
+    return ExecutionSettings(backend="distributed", ranks=ranks, **fields)
+
+
+def drain_report(backend, spec) -> SweepReport:
+    """Schedule ``spec`` (fifo), drain it through ``backend``, wrap the results."""
+    for group in Scheduler("fifo").schedule(BatchRunner(spec).groups()):
+        backend.submit_group(group)
+    return SweepReport(backend.drain(), axes=spec.axis_paths, execution=backend.execution_summary())
 
 
 @pytest.fixture()
@@ -33,7 +49,7 @@ def four_group_spec(tiny_config):
 class TestDistributedBackend:
     def test_distributed_matches_serial_bit_for_bit(self, four_group_spec):
         serial = BatchRunner(four_group_spec).run()
-        distributed = BatchRunner(four_group_spec, backend="distributed", ranks=4).run()
+        distributed = BatchRunner(four_group_spec, settings=on_ranks(4)).run()
 
         assert [r.status for r in distributed] == ["completed"] * 8
         assert distributed.to_json(exclude_timings=True) == serial.to_json(exclude_timings=True)
@@ -44,7 +60,7 @@ class TestDistributedBackend:
             np.testing.assert_array_equal(a.trajectory.dipoles, b.trajectory.dipoles)
 
     def test_per_rank_communication_volume_is_reported(self, four_group_spec):
-        report = BatchRunner(four_group_spec, backend="distributed", ranks=4).run()
+        report = BatchRunner(four_group_spec, settings=on_ranks(4)).run()
         execution = report.execution
 
         assert execution["backend"] == "distributed"
@@ -68,9 +84,7 @@ class TestDistributedBackend:
         assert "dispatch" in table and "distributed" in table
 
     def test_execution_summary_json_exports_on_request(self, four_group_spec):
-        import json
-
-        report = BatchRunner(four_group_spec, backend="distributed", ranks=2).run()
+        report = BatchRunner(four_group_spec, settings=on_ranks(2)).run()
         plain = json.loads(report.to_json())
         assert "execution" not in plain
         full = json.loads(report.to_json(include_execution=True))
@@ -82,7 +96,7 @@ class TestDistributedBackend:
             tiny_config,
             {"xc.hybrid_mixing": [0.25, 0.0], "basis.ecut": [2.0, 1.5]},
         )
-        runner = BatchRunner(spec, backend="distributed", ranks=2, schedule="makespan_balanced")
+        runner = BatchRunner(spec, settings=on_ranks(2, schedule="makespan_balanced"))
         report = runner.run()
         per_rank = report.execution["per_rank"]
         assert sum(s["groups"] for s in per_rank) == 4
@@ -108,21 +122,19 @@ class TestDistributedBackend:
 
     def test_single_rank_distributed_still_works(self, tiny_config):
         spec = SweepSpec(tiny_config, {"basis.ecut": [1.5, 2.0]})
-        report = BatchRunner(spec, backend="distributed", ranks=1).run()
+        report = BatchRunner(spec, settings=on_ranks(1)).run()
         assert [r.status for r in report] == ["completed", "completed"]
         assert report.execution["per_rank"][0]["groups"] == 2
 
     def test_invalid_ranks_raise(self, four_group_spec):
         with pytest.raises(ValueError, match="ranks"):
-            BatchRunner(four_group_spec, backend="distributed", ranks=0)
+            BatchRunner(four_group_spec, settings=on_ranks(0))
 
     def test_distributed_respects_checkpoints(self, four_group_spec, tmp_path, count_scf_solves):
-        BatchRunner(four_group_spec, checkpoint_dir=tmp_path, backend="distributed", ranks=4).run()
+        BatchRunner(four_group_spec, store=ResultStore(tmp_path), settings=on_ranks(4)).run()
         scf_first = len(count_scf_solves)
         assert scf_first == 4
-        resumed = BatchRunner(
-            four_group_spec, checkpoint_dir=tmp_path, backend="distributed", ranks=4
-        ).run()
+        resumed = BatchRunner(four_group_spec, store=ResultStore(tmp_path), settings=on_ranks(4)).run()
         assert [r.status for r in resumed] == ["cached"] * 8
         assert len(count_scf_solves) == scf_first
 
@@ -151,7 +163,7 @@ class TestPlacementCosting:
         """Acceptance: 8 ranks span both sockets and a second node, and every
         rank that received work logs link-attributed traffic with a nonzero
         predicted wall cost."""
-        report = BatchRunner(four_group_spec, backend="distributed", ranks=8).run()
+        report = BatchRunner(four_group_spec, settings=on_ranks(8)).run()
         per_rank = report.execution["per_rank"]
         # Summit geometry: 3 ranks per socket, 6 per node
         assert [s["link"] for s in per_rank] == (
@@ -173,13 +185,11 @@ class TestPlacementCosting:
         sweep's traffic crosses IB instead of NVLink and costs more wall."""
         from repro.cost import NodePlacement
 
-        dense = BatchRunner(four_group_spec, backend="distributed", ranks=4).run()
-        sparse = BatchRunner(
+        dense = drain_report(DistributedBackend(ranks=4), four_group_spec)
+        sparse = drain_report(
+            DistributedBackend(ranks=4, placement=NodePlacement(n_ranks=4, ranks_per_node=2)),
             four_group_spec,
-            backend="distributed",
-            ranks=4,
-            placement=NodePlacement(n_ranks=4, ranks_per_node=2),
-        ).run()
+        )
         dense_links = [s["link"] for s in dense.execution["per_rank"]]
         sparse_links = [s["link"] for s in sparse.execution["per_rank"]]
         assert dense_links == ["nvlink", "nvlink", "nvlink", "xbus"]
@@ -197,18 +207,16 @@ class TestPlacementCosting:
 
         serial = BatchRunner(four_group_spec).run()
         variants = [
-            BatchRunner(four_group_spec, backend="distributed", ranks=4).run(),
-            BatchRunner(
+            BatchRunner(four_group_spec, settings=on_ranks(4)).run(),
+            drain_report(
+                DistributedBackend(ranks=4, placement=NodePlacement(n_ranks=4, ranks_per_node=1)),
                 four_group_spec,
-                backend="distributed",
-                ranks=4,
-                placement=NodePlacement(n_ranks=4, ranks_per_node=1),
+            ),
+            BatchRunner(
+                four_group_spec, settings=on_ranks(3, schedule="energy_aware")
             ).run(),
             BatchRunner(
-                four_group_spec, backend="distributed", ranks=3, schedule="energy_aware"
-            ).run(),
-            BatchRunner(
-                four_group_spec, backend="distributed", ranks=2, schedule="makespan_balanced"
+                four_group_spec, settings=on_ranks(2, schedule="makespan_balanced")
             ).run(),
         ]
         reference = serial.to_json(exclude_timings=True)
@@ -216,10 +224,8 @@ class TestPlacementCosting:
             assert report.to_json(exclude_timings=True) == reference
 
     def test_execution_summary_is_strict_json(self, four_group_spec):
-        import json
-
         report = BatchRunner(
-            four_group_spec, backend="distributed", ranks=4, schedule="energy_aware"
+            four_group_spec, settings=on_ranks(4, schedule="energy_aware")
         ).run()
         text = json.dumps(report.execution, allow_nan=False)
         decoded = json.loads(text)
@@ -249,19 +255,19 @@ class TestProcessFallbackWarning:
             UserWarning,
             match=r"OSError: no child processes allowed in this sandbox.*'serial'",
         ):
-            report = BatchRunner(spec, backend="process").run()
+            report = BatchRunner(spec, settings=ExecutionSettings(backend="process")).run()
         assert [r.status for r in report] == ["completed", "completed"]
         assert report.execution["used_fallback"] is True
 
     def test_no_warning_on_single_group_sweep(self, tiny_config, recwarn):
         spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0, 2.0]})
-        report = BatchRunner(spec, backend="process").run()
+        report = BatchRunner(spec, settings=ExecutionSettings(backend="process")).run()
         assert [r.status for r in report] == ["completed", "completed"]
         assert not [w for w in recwarn.list if "process pool" in str(w.message)]
 
 
 # ---------------------------------------------------------------------------
-# Ground-state checkpoint sharing (satellite)
+# Ground-state sharing through the store
 # ---------------------------------------------------------------------------
 
 
@@ -270,11 +276,11 @@ class TestGroundStateSharing:
         """A *different* sweep over the same ground states adopts the persisted
         SCFs: zero solves, identical physics to a cold run."""
         first = SweepSpec(tiny_config, {"run.time_step_as": [1.0]})
-        BatchRunner(first, checkpoint_dir=tmp_path).run()
+        BatchRunner(first, store=ResultStore(tmp_path)).run()
         assert len(count_scf_solves) == 1
 
         second = SweepSpec(tiny_config, {"run.time_step_as": [2.0, 3.0]})
-        report = BatchRunner(second, checkpoint_dir=tmp_path).run()
+        report = BatchRunner(second, store=ResultStore(tmp_path)).run()
         assert [r.status for r in report] == ["completed", "completed"]
         assert len(count_scf_solves) == 1  # both new jobs rode the stored SCF
 
@@ -283,37 +289,47 @@ class TestGroundStateSharing:
             np.testing.assert_array_equal(warm.trajectory.energies, cold.trajectory.energies)
             np.testing.assert_array_equal(warm.trajectory.dipoles, cold.trajectory.dipoles)
 
-    def test_opt_out_reconverges(self, tiny_config, tmp_path, count_scf_solves):
-        first = SweepSpec(tiny_config, {"run.time_step_as": [1.0]})
-        BatchRunner(first, checkpoint_dir=tmp_path, share_ground_states=False).run()
-        second = SweepSpec(tiny_config, {"run.time_step_as": [2.0]})
-        BatchRunner(second, checkpoint_dir=tmp_path, share_ground_states=False).run()
-        assert len(count_scf_solves) == 2
-        assert not CheckpointStore(tmp_path).has_ground_state(
-            first.expand()[0].group_key
-        )
-
     def test_prepare_ground_states_adopts_persisted_scf(self, tiny_config, tmp_path, count_scf_solves):
         spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0, 2.0]})
-        warm = BatchRunner(spec, checkpoint_dir=tmp_path)
+        warm = BatchRunner(spec, store=ResultStore(tmp_path))
         assert warm.prepare_ground_states() == 1
         assert len(count_scf_solves) == 1
 
         # a fresh runner (new process, conceptually) warms from disk instead
         resumed_spec = SweepSpec(tiny_config, {"run.time_step_as": [3.0]})
-        resumed = BatchRunner(resumed_spec, checkpoint_dir=tmp_path)
+        resumed = BatchRunner(resumed_spec, store=ResultStore(tmp_path))
         assert resumed.prepare_ground_states() == 0
         assert len(count_scf_solves) == 1
         report = resumed.run()
         assert [r.status for r in report] == ["completed"]
         assert len(count_scf_solves) == 1
 
+    def test_prepare_ground_states_survives_a_failing_store_write(
+        self, tiny_config, tmp_path, monkeypatch, count_scf_solves
+    ):
+        """Warm-up persists through the same best-effort helper as
+        execute_group: a failing ground-state write warns, never aborts."""
+
+        def boom(self, group_key, result):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(ResultStore, "save_ground_state", boom)
+        spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0, 2.0]})
+        runner = BatchRunner(spec, store=ResultStore(tmp_path))
+        with pytest.warns(UserWarning, match="ground-state checkpoint write failed.*No space left"):
+            assert runner.prepare_ground_states() == 1
+        with pytest.warns(UserWarning, match="ground-state checkpoint write failed"):
+            report = runner.run()
+        assert [r.status for r in report] == ["completed", "completed"]
+        assert len(count_scf_solves) == 1  # run() reused the warm session
+        assert not ResultStore(tmp_path).has_ground_state(spec.expand()[0].group_key)
+
     def test_store_round_trips_ground_state(self, tiny_config, tmp_path):
         from repro.api import Session
 
         session = Session(tiny_config)
         result = session.ground_state()
-        store = CheckpointStore(tmp_path)
+        store = ResultStore(tmp_path)
         key = "some-group-key"
         assert not store.has_ground_state(key)
         store.save_ground_state(key, result)
@@ -330,8 +346,8 @@ class TestGroundStateSharing:
 
     def test_gs_entries_do_not_pollute_job_ids(self, tiny_config, tmp_path):
         spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0]})
-        BatchRunner(spec, checkpoint_dir=tmp_path).run()
-        store = CheckpointStore(tmp_path)
+        BatchRunner(spec, store=ResultStore(tmp_path)).run()
+        store = ResultStore(tmp_path)
         assert store.completed_ids() == {spec.expand()[0].job_id}
         assert store.has_ground_state(spec.expand()[0].group_key)
 
@@ -339,11 +355,13 @@ class TestGroundStateSharing:
         """prepare_ground_states persists the SCF; run() must not rewrite the
         (large) orbital archive it already finds on disk."""
         spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0, 2.0]})
-        runner = BatchRunner(spec, checkpoint_dir=tmp_path)
+        runner = BatchRunner(spec, store=ResultStore(tmp_path))
         assert runner.prepare_ground_states() == 1
-        gs_path = CheckpointStore(tmp_path).ground_state_trajectory_path(
-            spec.expand()[0].group_key
+        store = ResultStore(tmp_path)
+        manifest = json.loads(
+            store.ground_state_manifest_path(spec.expand()[0].group_key).read_text()
         )
+        gs_path = store.object_path(manifest["artifact"]["sha256"])
         before = gs_path.stat().st_mtime_ns
         runner.run()
         assert gs_path.stat().st_mtime_ns == before
@@ -352,7 +370,7 @@ class TestGroundStateSharing:
         from repro.api import Session
 
         session = Session(tiny_config)
-        store = CheckpointStore(tmp_path)
+        store = ResultStore(tmp_path)
         store.save_ground_state("k", session.ground_state())
         without_basis = store.load_ground_state("k")  # no basis: no orbitals
         fresh = Session(tiny_config)
@@ -361,12 +379,12 @@ class TestGroundStateSharing:
 
     def test_distributed_and_process_share_ground_states_too(self, tiny_config, tmp_path, count_scf_solves):
         spec = SweepSpec(tiny_config, {"basis.ecut": [1.5, 2.0]})
-        BatchRunner(spec, checkpoint_dir=tmp_path, backend="distributed", ranks=2).run()
+        BatchRunner(spec, store=ResultStore(tmp_path), settings=on_ranks(2)).run()
         assert len(count_scf_solves) == 2
         follow_up = SweepSpec(
             tiny_config, {"basis.ecut": [1.5, 2.0], "run.time_step_as": [2.0]}
         )
-        report = BatchRunner(follow_up, checkpoint_dir=tmp_path, backend="distributed", ranks=2).run()
+        report = BatchRunner(follow_up, store=ResultStore(tmp_path), settings=on_ranks(2)).run()
         assert [r.status for r in report] == ["completed", "completed"]
         assert len(count_scf_solves) == 2  # adopted on the simulated ranks
 
@@ -379,7 +397,7 @@ class TestGroundStateSharing:
 class TestBackendSurface:
     def test_unknown_backend_raises_listing_choices(self, four_group_spec):
         with pytest.raises(ValueError, match="serial.*process.*distributed"):
-            BatchRunner(four_group_spec, backend="threads")
+            BatchRunner(four_group_spec, settings={"backend": "threads"})
 
     def test_serial_backend_reuses_warm_sessions(self, four_group_spec, count_scf_solves):
         runner = BatchRunner(four_group_spec)
@@ -399,8 +417,6 @@ class TestBackendSurface:
     def test_unknown_costs_export_as_null_not_nan(self, tiny_config):
         """A failing cost model leaves NaN sentinels on the scheduled groups;
         the execution export must stay strict JSON (null, not NaN)."""
-        import json
-
         spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0, 2.0]})
         runner = BatchRunner(spec)
         scheduled = Scheduler("fifo", cost_fn=lambda configs: float("nan")).schedule(runner.groups())
@@ -423,6 +439,19 @@ class TestBackendSurface:
         assert [r.job_id for r in results] == [r.job_id for r in reference]
         for a, b in zip(results, reference):
             np.testing.assert_array_equal(a.trajectory.energies, b.trajectory.energies)
+
+    def test_run_group_steps_the_drain_one_group_at_a_time(self, four_group_spec, monkeypatch):
+        """run_group is the unit drain repeats: it executes one submitted
+        group, stamps its observed seconds and advances the progress counts."""
+        backend = SerialBackend()
+        for group in Scheduler("fifo").schedule(BatchRunner(four_group_spec).groups()):
+            backend.submit_group(group)
+        first = backend.groups[0]
+        results = backend.run_group(first)
+        assert [r.job_id for r in results] == [job.job_id for job in first.jobs]
+        assert first.observed_seconds == sum(r.summary["wall_time"] for r in results)
+        assert backend.poll()["groups_done"] == 1 and backend.poll()["jobs_done"] == 2
+        assert backend.execution_summary()["groups"][0]["observed_seconds"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +478,7 @@ class TestPollCancel:
 
         calls: list[int] = []
 
-        def fake(jobs, checkpoint_dir, raise_on_error, session=None, share_ground_states=False,
-                 store=None, batch_stepping=False, precision="complex128"):
+        def fake(jobs, **options):
             calls.append(len(jobs))
             if on_group is not None:
                 on_group(len(calls))
@@ -460,8 +488,6 @@ class TestPollCancel:
         return calls
 
     def test_poll_reports_zero_then_full_progress(self, four_group_spec, monkeypatch):
-        import json
-
         self._stub_execute_group(monkeypatch)
         backend = self._submit(SerialBackend(), four_group_spec)
 

@@ -83,6 +83,26 @@ class TestIdentityExclusion:
         assert count_propagation_steps[steps_before_rerun:] == []
 
 
+class TestStoreReads:
+    def test_warm_batched_sweep_loads_each_job_once(self, dt_spec, tmp_path, monkeypatch):
+        """The batch pre-pass's store reads are reused by the per-job loop:
+        every cached job is verified and decoded exactly once."""
+        store = ResultStore(tmp_path / "store")
+        BatchRunner(dt_spec, store=store).run()
+
+        loads = []
+        original = ResultStore.load
+
+        def counting(self, job):
+            loads.append(job.job_id)
+            return original(self, job)
+
+        monkeypatch.setattr(ResultStore, "load", counting)
+        rerun = BatchRunner(dt_spec, store=store, settings=BATCHED).run()
+        assert [r.status for r in rerun.results] == ["cached"] * 4
+        assert sorted(loads) == sorted(job.job_id for job in dt_spec.expand())
+
+
 class TestPoolWorkerCapping:
     def test_run_group_worker_caps_fft_threads_to_one(self, dt_spec, monkeypatch):
         from repro.exec.backends import _run_group_worker
@@ -93,7 +113,11 @@ class TestPoolWorkerCapping:
         set_fft_workers(4)
         try:
             (jobs,) = group_jobs(dt_spec).values()
-            payload = (jobs, None, True, False, None, True, "complex128")
+            payload = (
+                jobs,
+                {"store": None, "raise_on_error": True, "batch_stepping": True,
+                 "precision": "complex128"},
+            )
             dicts = _run_group_worker(payload)
             assert get_fft_workers() == 1
             assert os.environ["REPRO_FFT_WORKERS"] == "1"

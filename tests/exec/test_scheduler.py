@@ -11,7 +11,7 @@ import pytest
 
 from repro.api import ConfigError, SimulationConfig
 from repro.batch import BatchRunner, SweepSpec, config_hash, ground_state_group_key
-from repro.exec import SCHEDULE_POLICIES, ScheduledGroup, Scheduler
+from repro.exec import SCHEDULE_POLICIES, ExecutionSettings, ScheduledGroup, Scheduler
 from repro.perf import predict_group_cost
 
 
@@ -253,7 +253,7 @@ class TestScheduleConfig:
 
     def test_default_policy_is_fifo(self, tiny_config):
         assert tiny_config.run.schedule_policy == "fifo"
-        assert BatchRunner(SweepSpec(tiny_config)).schedule == "fifo"
+        assert BatchRunner(SweepSpec(tiny_config)).settings.schedule == "fifo"
 
     def test_invalid_policy_raises_with_valid_choices(self):
         with pytest.raises(ConfigError, match="cheapest_first"):
@@ -285,6 +285,6 @@ class TestScheduleConfig:
     def test_runner_argument_overrides_config_policy(self, tiny_config):
         config = tiny_config.with_overrides({"run.schedule.policy": "cheapest_first"})
         runner = BatchRunner(SweepSpec(config))
-        assert runner.schedule == "cheapest_first"
-        override = BatchRunner(SweepSpec(config), schedule="fifo")
-        assert override.schedule == "fifo"
+        assert runner.scheduler.policy == "cheapest_first"
+        override = BatchRunner(SweepSpec(config), settings=ExecutionSettings(schedule="fifo"))
+        assert override.scheduler.policy == "fifo"

@@ -11,8 +11,9 @@ import pytest
 
 from repro.api import PROPAGATORS
 from repro.batch import BatchRunner, SweepSpec
-from repro.campaign import Budget, CampaignSpec, InfeasibleBudgetError, plan
+from repro.campaign import Budget, CampaignSpec, ExecutionPlan, InfeasibleBudgetError, plan
 from repro.service import CampaignService, NodePool
+from repro.store import ResultStore
 
 
 def run(coro):
@@ -135,18 +136,20 @@ class TestPreemption:
     ):
         """Preemption must never redo finished work: 4 cutoff groups + 1 dt
         group converge exactly 5 SCFs however the leases interleave."""
-        service = CampaignService(NodePool("summit", n_nodes=1), checkpoint_dir=tmp_path)
+        service = CampaignService(NodePool("summit", n_nodes=1))
+        stores = {name: ResultStore(tmp_path / name) for name in ("low", "high")}
 
         async def body():
-            low = service.submit(cutoff_campaign, priority=0, name="low")
+            low = service.submit(cutoff_campaign, priority=0, name="low", store=stores["low"])
             await asyncio.sleep(0)
-            high = service.submit(dt_campaign, priority=5, name="high")
+            high = service.submit(dt_campaign, priority=5, name="high", store=stores["high"])
             return await asyncio.gather(low.report(), high.report())
 
         run(body())
         assert len(count_scf_solves) == 5
-        assert (tmp_path / "low" / "cutoff").is_dir()
-        assert (tmp_path / "high" / "dt").is_dir()
+        for name, campaign in (("low", cutoff_campaign), ("high", dt_campaign)):
+            for spec in campaign.sweeps.values():
+                assert all(stores[name].has(job) for job in spec.expand())
 
 
 # ---------------------------------------------------------------------------
@@ -320,3 +323,31 @@ class TestExecuteShim:
         assert set(partial.elapsed_seconds) == {"good", "bad"}
         assert all(value >= 0.0 for value in partial.elapsed_seconds.values())
         assert "partial: 1 of 2" in partial.plan_table()
+
+    def test_execute_honours_precision_and_batch_stepping(self, dt_campaign, tmp_path):
+        """The service runs groups through the same executor as BatchRunner,
+        so a screening plan (complex64, lockstep stepping) behaves the same
+        through either entry point."""
+        planned = plan(dt_campaign)
+        settings = planned.settings.replace(precision="complex64", batch_stepping=True)
+        screening = ExecutionPlan(
+            planned.campaign, settings, planned.sweeps, planned.budget, planned.predicted_nodes
+        )
+        store = ResultStore(tmp_path / "store")
+        report = screening.execute(store=store)["dt"]
+
+        assert [r.status for r in report] == ["completed", "completed"]
+        assert all(r.summary["precision"] == "complex64" for r in report)
+        assert store.ledger()["result_manifests"] == 0  # the screening tier is never stored
+        direct = BatchRunner(dt_campaign.sweeps["dt"], settings=settings).run()
+        assert report.to_json(exclude_timings=True) == direct.to_json(exclude_timings=True)
+
+    def test_service_and_runner_share_the_group_and_store_records(self, dt_campaign, tmp_path):
+        """One record builder and one store ledger serve both entry points."""
+        store = ResultStore(tmp_path / "store")
+        served = plan(dt_campaign).execute(store=store)["dt"].execution
+        direct = BatchRunner(dt_campaign.sweeps["dt"], store=store).run().execution
+        assert served["backend"] == "service" and direct["backend"] == "serial"
+        assert served["groups"][0].keys() == direct["groups"][0].keys()
+        assert served["store"] == {"root": str(store.root), "hits": 0, "computed": 2, "failed": 0}
+        assert direct["store"] == {"root": str(store.root), "hits": 2, "computed": 0, "failed": 0}

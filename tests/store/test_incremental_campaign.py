@@ -98,12 +98,12 @@ class TestIncrementalExecute:
             assert stamp["computed"] == len(report[name])
             assert stamp["failed"] == 0
 
-    def test_checkpoint_dir_execute_remains_incremental(self, campaign, tmp_path, count_scf_solves):
-        # the pre-store calling convention still round-trips through the store
+    def test_store_root_execute_remains_incremental(self, campaign, tmp_path, count_scf_solves):
+        # a store given by its root directory resumes like a store object
         execution_plan = plan(campaign)
-        execution_plan.execute(tmp_path / "ckpt")
+        execution_plan.execute(store=tmp_path / "store")
         count_scf_solves.clear()
-        resumed = execution_plan.execute(tmp_path / "ckpt")
+        resumed = execution_plan.execute(store=tmp_path / "store")
         assert resumed.n_cached == resumed.n_jobs
         assert count_scf_solves == []
 
