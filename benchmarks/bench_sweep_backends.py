@@ -91,14 +91,11 @@ def test_scheduler_policies_rank_groups_consistently(benchmark, report_writer):
 
 
 def test_backend_exports_are_identical(benchmark, report_writer):
-    """The deterministic report export is invariant across all three backends."""
+    """The deterministic report export is invariant across both backends."""
 
     def run_all():
         return {
             "serial": BatchRunner(_spec()).run(),
-            "process": BatchRunner(
-                _spec(), settings=ExecutionSettings(backend="process", max_workers=2)
-            ).run(),
             "distributed": BatchRunner(
                 _spec(), settings=ExecutionSettings(backend="distributed", ranks=4)
             ).run(),
@@ -106,7 +103,7 @@ def test_backend_exports_are_identical(benchmark, report_writer):
 
     reports = benchmark(run_all)
     exports = {name: r.to_json(exclude_timings=True) for name, r in reports.items()}
-    assert exports["serial"] == exports["process"] == exports["distributed"]
+    assert exports["serial"] == exports["distributed"]
 
     summary = json.loads(exports["serial"])
     report_writer(
@@ -118,33 +115,21 @@ def test_backend_exports_are_identical(benchmark, report_writer):
     )
 
 
-def _greedy_makespan(seconds: list[float], workers: int) -> float:
-    """Least-loaded (LPT) makespan of independent durations over ``workers``."""
-    loads = [0.0] * max(1, workers)
-    for duration in sorted(seconds, reverse=True):
-        loads[loads.index(min(loads))] += duration
-    return max(loads)
-
-
 def _makespan_row(report, backend: str, policy: str, ranks: int | None,
-                  workers: int, elapsed_s: float) -> dict:
+                  elapsed_s: float) -> dict:
     """One ``BENCH_sweep.json`` row: predicted vs observed makespan of a run.
 
     Distributed runs reduce the per-rank accounting via
     :func:`repro.cost.sweep_execution_point` (the busiest modeled rank).
-    Serial/process runs predict by packing the groups' predicted seconds over
-    their actual worker count and report the *measured elapsed* wall time —
-    for a parallel pool that is the true makespan, where summing per-job wall
-    times would double-count overlapping work.
+    Serial runs execute one group after another, so they predict the sum of
+    the groups' predicted seconds and report the measured elapsed wall time.
     """
     execution = report.execution
     if execution.get("per_rank"):
         point = sweep_execution_point(execution)
         predicted, observed = point["predicted_makespan_s"], point["observed_makespan_s"]
     else:
-        predicted = _greedy_makespan(
-            [g.get("predicted_seconds") or 0.0 for g in execution.get("groups", [])], workers
-        )
+        predicted = sum(g.get("predicted_seconds") or 0.0 for g in execution.get("groups", []))
         observed = float(elapsed_s)
     return {
         "backend": backend,
@@ -164,7 +149,6 @@ def test_bench_sweep_artifact(benchmark, results_dir, report_writer):
     """
     matrix = [
         ("serial", "fifo", None),
-        ("process", "cheapest_first", None),
         ("distributed", "makespan_balanced", 4),
         ("distributed", "energy_aware", 4),
     ]
@@ -175,14 +159,10 @@ def test_bench_sweep_artifact(benchmark, results_dir, report_writer):
             settings = {"backend": backend, "schedule": policy}
             if ranks is not None:
                 settings["ranks"] = ranks
-            workers = 1
-            if backend == "process":
-                workers = 2
-                settings["max_workers"] = workers
             start = time.perf_counter()
             report = BatchRunner(_spec(), settings=ExecutionSettings(**settings)).run()
             elapsed = time.perf_counter() - start
-            rows.append(_makespan_row(report, backend, policy, ranks, workers, elapsed))
+            rows.append(_makespan_row(report, backend, policy, ranks, elapsed))
         return rows
 
     rows = benchmark(run_all)

@@ -143,7 +143,7 @@ if __name__ == "__main__":
     parser.add_argument("--smoke", action="store_true", help="CI-sized sweep (implies --sweep)")
     parser.add_argument(
         "--backend",
-        choices=["serial", "process", "distributed"],
+        choices=["serial", "distributed"],
         default="serial",
         help="execution backend for the sweep (see repro.exec)",
     )

@@ -180,7 +180,7 @@ if __name__ == "__main__":
     parser.add_argument("--smoke", action="store_true", help="run the tiny CI smoke sweep")
     parser.add_argument(
         "--backend",
-        choices=["serial", "process", "distributed"],
+        choices=["serial", "distributed"],
         default="serial",
         help="execution backend (see repro.exec)",
     )

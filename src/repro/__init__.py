@@ -30,11 +30,11 @@ The package is organised in layers:
   orchestrates the jobs (shared ground states, checkpoint/resume) and a
   :class:`~repro.batch.SweepReport` regenerates the paper's comparison
   tables in one call.
-* :mod:`repro.exec` — the pluggable execution layer under the sweep engine: a
+* :mod:`repro.exec` — the execution layer under the sweep engine: a
   machine-aware :class:`~repro.exec.Scheduler` (``repro.cost`` wall-clock /
-  energy predictions) and the serial / process-pool / simulated-MPI-distributed
-  :class:`~repro.exec.ExecutionBackend` implementations with per-rank
-  communication accounting.
+  energy predictions) and the in-process group executor, serial
+  (:class:`~repro.exec.SerialBackend`) or placed onto simulated MPI ranks with
+  per-rank communication accounting (:class:`~repro.exec.DistributedBackend`).
 * :mod:`repro.cost` — the machine-aware cost stack joining ``repro.perf``
   workload predictions with the ``repro.machine`` hardware model: FLOPs →
   seconds through GPU throughput, transfer bytes → seconds through

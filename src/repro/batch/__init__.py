@@ -5,8 +5,8 @@ benchmarks into one declarative call: a :class:`SweepSpec` expands a base
 :class:`~repro.api.SimulationConfig` over axes (time step, propagator,
 supercell size, pulse, ...), a :class:`BatchRunner` executes the job list —
 sharing one ground-state SCF per compatible group, scheduling and placing
-groups through the pluggable :mod:`repro.exec` layer (serial, process pool,
-or simulated-MPI distributed), storing every completed job *and* every
+groups through the :mod:`repro.exec` layer (serial or simulated-MPI
+distributed, both in-process), storing every completed job *and* every
 converged SCF in a :class:`~repro.store.ResultStore` for resume-after-crash —
 and a :class:`SweepReport` aggregates the results into the paper's tables
 (Fig. 6-style cost comparison, dt-vs-accuracy, propagator-x-dt pivots) plus

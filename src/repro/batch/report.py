@@ -152,7 +152,7 @@ class SweepReport:
         The sweep's axis paths, used as the leading table columns.
     execution:
         The executing backend's placement/communication summary (see
-        :meth:`repro.exec.ExecutionBackend.execution_summary`). Rendered by
+        :meth:`repro.exec.SerialBackend.execution_summary`). Rendered by
         :meth:`execution_table`; **not** part of :meth:`to_dict`, so the
         physics export of a sweep is identical across backends.
     settings:
@@ -318,14 +318,11 @@ class SweepReport:
             return "(no execution summary recorded)"
         per_rank = info.get("per_rank")
         if not per_rank:
-            line = (
+            return (
                 f"backend={info.get('backend', '?')} "
                 f"schedule={info.get('schedule', '?')} "
                 f"groups={info.get('n_groups', '?')} jobs={info.get('n_jobs', '?')}"
             )
-            if info.get("used_fallback"):
-                line += " (fell back to serial)"
-            return line
         headers = [
             "rank", "node", "link", "groups", "jobs",
             "predicted [s]", "dispatch [B]", "result [B]", "comm [s]",

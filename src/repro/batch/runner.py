@@ -22,11 +22,12 @@ policy lives in :mod:`repro.exec`; the runner only wires the pieces:
   :class:`repro.cost.MachineCostModel` built from the settings — under
   ``fifo`` (default), ``cheapest_first``, ``makespan_balanced`` or
   ``energy_aware``.
-* **Backends.** ``"serial"`` runs in-process; ``"process"`` dispatches one
-  group per worker task to a process pool (falling back to serial with a
-  warning naming the original error); ``"distributed"`` places groups onto
-  virtual ranks of the simulated MPI runtime and logs per-rank
-  dispatch/result communication volume into the report's execution summary.
+* **Backends.** Both run each group in-process through
+  :meth:`~repro.exec.SerialBackend.run_group`, reusing the warm sessions of
+  :meth:`BatchRunner.prepare_ground_states`: ``"serial"`` as is,
+  ``"distributed"`` placed onto virtual ranks of the simulated MPI runtime
+  with per-rank dispatch/result communication volume logged into the
+  report's execution summary.
 * **Persistence.** With a ``store`` (a :class:`~repro.store.ResultStore`),
   every completed job is persisted; a rerun of the same sweep loads finished
   jobs (status ``"cached"``) instead of recomputing them — resume-after-crash
@@ -52,12 +53,12 @@ policy lives in :mod:`repro.exec`; the runner only wires the pieces:
 from __future__ import annotations
 
 from ..api.session import Session
-from ..exec.settings import BACKEND_NAMES, ExecutionSettings
+from ..exec.settings import ExecutionSettings
 from ..store.store import ResultStore
 from .report import SweepReport
 from .sweep import SweepJob, SweepSpec, group_jobs
 
-__all__ = ["BACKEND_NAMES", "BatchRunner"]
+__all__ = ["BatchRunner"]
 
 
 class BatchRunner:
@@ -151,12 +152,12 @@ class BatchRunner:
         sweep without the SCF, services can prepare caches ahead of traffic.
         Groups whose SCF is already in the store adopt it instead of
         reconverging (and count as zero SCFs); freshly converged ones are
-        persisted for future sweeps, best-effort like every ground-state
-        write of :func:`~repro.exec.execute_group`. Only the serial backend
-        reuses these warm sessions (process/distributed workers rebuild their
-        own); the one-SCF-per-group property holds either way.
+        persisted for future sweeps — the same ground-state sequence, in the
+        same helper, as :func:`~repro.exec.execute_group`. Both backends run
+        :meth:`run` through these warm sessions, so ``prepare_ground_states``
+        followed by :meth:`run` converges each group's SCF exactly once.
         """
-        from ..exec.backends import _persist_ground_state  # deferred: repro.exec imports repro.batch
+        from ..exec.backends import _shared_ground_state  # deferred: repro.exec imports repro.batch
 
         store = self.store
         count = 0
@@ -169,37 +170,28 @@ class BatchRunner:
                 self._sessions[key] = session
             if session.ground_state_ready:
                 continue
-            if store is not None:
-                shared = store.load_ground_state(key, basis=session.basis)
-                if shared is not None:
-                    session.adopt_ground_state(shared)
-                    continue
-            session.ground_state()
-            count += 1
-            if store is not None:
-                _persist_ground_state(store, key, session)
+            with _shared_ground_state(store, key, session):
+                if not session.ground_state_ready:  # not adopted from the store
+                    session.ground_state()
+                    count += 1
         return count
 
     # ------------------------------------------------------------------
     def _make_backend(self):
-        from ..exec import DistributedBackend, ProcessPoolBackend, SerialBackend  # deferred, as above
+        from ..exec import DistributedBackend, SerialBackend  # deferred, as above
 
         options = dict(
+            sessions=self._sessions,
             store=self.store,
             raise_on_error=self.raise_on_error,
             batch_stepping=self.settings.batch_stepping,
             precision=self.settings.precision,
         )
-        backend = self.settings.backend
-        if backend == "process":
-            return ProcessPoolBackend(
-                max_workers=self.settings.max_workers, sessions=self._sessions, **options
-            )
-        if backend == "distributed":
+        if self.settings.backend == "distributed":
             return DistributedBackend(
                 ranks=self.settings.ranks, placement=self.settings.placement(), **options
             )
-        return SerialBackend(sessions=self._sessions, **options)
+        return SerialBackend(**options)
 
     def run(self) -> SweepReport:
         """Schedule and execute every job; return the aggregated report."""
@@ -209,9 +201,9 @@ class BatchRunner:
         backend = self._make_backend()
         if self.settings.backend == "distributed":
             self.scheduler.pack(scheduled, backend.ranks)
+        results = []
         for group in scheduled:
-            backend.submit_group(group)
-        results = backend.drain()
+            results.extend(backend.run_group(group))
         execution = backend.execution_summary()
         execution["schedule"] = self.scheduler.policy
         if self.store is not None:

@@ -25,7 +25,7 @@ __all__ = ["CampaignReport"]
 def _observed_wall_seconds(report: SweepReport) -> float:
     """The sweep's observed makespan: the busiest simulated rank's in-process
     wall time when per-rank accounting exists, else the summed job wall
-    times (serial/process backends run one group after another).
+    times (the serial backend runs one group after another).
 
     Per-rank entries are tolerated missing or malformed — a crashed rank may
     never have reported its stats dict — in which case the makespan degrades

@@ -1,4 +1,4 @@
-"""Pluggable execution layer for config sweeps: scheduler + backends.
+"""Execution layer for config sweeps: scheduler + in-process backends.
 
 The paper's headline is dispatching PT-CN rt-TDDFT across thousands of Summit
 GPUs under a communication cost model; this package is the sweep-level
@@ -10,12 +10,12 @@ analogue. It separates *what* a sweep computes (:mod:`repro.batch`) from
   the :class:`repro.cost.MachineCostModel` machine model (``fifo`` /
   ``cheapest_first`` / ``makespan_balanced`` / ``energy_aware``, selectable
   via ``run.schedule`` in :class:`~repro.api.SimulationConfig`);
-* an :class:`ExecutionBackend` runs them — :class:`SerialBackend` in-process,
-  :class:`ProcessPoolBackend` over a process pool, and
-  :class:`DistributedBackend` over the virtual ranks of the simulated MPI
-  runtime (:class:`~repro.parallel.SimCommunicator`), with dispatch/result
-  communication volume logged per rank and every transfer attributed to a
-  modeled Summit link (NVLink / X-Bus / InfiniBand) by a
+* a backend runs them, in-process, one group at a time through
+  :func:`execute_group` — :class:`SerialBackend` as is, and
+  :class:`DistributedBackend` placed onto the virtual ranks of the simulated
+  MPI runtime (:class:`~repro.parallel.SimCommunicator`), with
+  dispatch/result communication volume logged per rank and every transfer
+  attributed to a modeled Summit link (NVLink / X-Bus / InfiniBand) by a
   :class:`repro.cost.NodePlacement`.
 
 :class:`~repro.batch.BatchRunner` is the thin orchestrator on top:
@@ -27,13 +27,7 @@ about *where and how* to run is one frozen, JSON-round-trippable
 """
 
 from .settings import BACKEND_NAMES, ExecutionSettings  # noqa: I001  (first: no batch deps)
-from .backends import (
-    DistributedBackend,
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    execute_group,
-)
+from .backends import DistributedBackend, SerialBackend, execute_group
 from .scheduler import SCHEDULE_POLICIES, ScheduledGroup, Scheduler
 
 __all__ = [
@@ -42,9 +36,7 @@ __all__ = [
     "SCHEDULE_POLICIES",
     "ScheduledGroup",
     "Scheduler",
-    "ExecutionBackend",
     "SerialBackend",
-    "ProcessPoolBackend",
     "DistributedBackend",
     "execute_group",
 ]

@@ -1,41 +1,34 @@
 """Execution backends: where and how the groups of a sweep actually run.
 
 :func:`execute_group` runs one ground-state group in-process; it is the one
-group executor every path goes through — the backends below and the campaign
-service (:func:`repro.service.run_sweep`). :class:`ExecutionBackend` owns the
-machinery around it: ``submit_group`` queues scheduled groups, ``drain`` runs
-them (or :meth:`~ExecutionBackend.run_group` one at a time), every executed
-group gets its ``observed_seconds`` stamped, ``poll``/``cancel`` observe the
-drain and ``execution_summary`` reports how the work was placed. The
-subclasses differ only in where a group runs:
+group executor every path goes through. :class:`SerialBackend` wraps it: its
+:meth:`~SerialBackend.run_group` is the one step both
+:meth:`repro.batch.BatchRunner.run` and :func:`repro.service.run_sweep` loop
+over — it runs a scheduled group (through the runner's warm session from
+``prepare_ground_states`` when there is one), stamps the group's
+``observed_seconds`` and records the group for
+:meth:`~SerialBackend.execution_summary`.
 
-* :class:`SerialBackend` — in-process, in submission order, reusing the
-  runner's warm sessions (``prepare_ground_states``).
-* :class:`ProcessPoolBackend` — one worker task per group on a
-  :class:`~concurrent.futures.ProcessPoolExecutor`; runs serially (with a
-  warning naming the original error and the fallback) when no pool can be
-  created.
-* :class:`DistributedBackend` — places groups onto the virtual ranks of a
-  :class:`~repro.parallel.SimCommunicator`. Group dispatch and result
-  collection really move serialized payloads through the communicator's
-  point-to-point channel, so the per-rank communication volume of a sweep is
-  logged the same way the distributed kernels log theirs — and a
-  :class:`~repro.cost.NodePlacement` maps ranks onto modeled Summit nodes so
-  every transfer is attributed to NVLink, X-Bus or InfiniBand with a
-  predicted wall cost; the ``bench_fig7/8``-style scaling analyses extend to
-  sweep traffic.
+:class:`DistributedBackend` is the same in-process executor placed onto the
+virtual ranks of a :class:`~repro.parallel.SimCommunicator`. Group dispatch
+and result collection really move serialized payloads through the
+communicator's point-to-point channel, so the per-rank communication volume
+of a sweep is logged the same way the distributed kernels log theirs — and a
+:class:`~repro.cost.NodePlacement` maps ranks onto modeled Summit nodes so
+every transfer is attributed to NVLink, X-Bus or InfiniBand with a predicted
+wall cost; the ``bench_fig7/8``-style scaling analyses extend to sweep
+traffic.
 
-All backends run whole groups, so the one-SCF-per-group property survives any
-placement, and all of them share the store and ground-state sharing
-machinery of :func:`execute_group`.
+Both backends run whole groups, so the one-SCF-per-group property survives
+any placement, and both share the store and ground-state sharing machinery
+of :func:`execute_group`.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -45,13 +38,10 @@ from ..core.dynamics import json_default
 from ..core.precision import resolve_precision
 from ..cost.placement import NodePlacement
 from ..parallel.comm import SimCommunicator
-from ..pw.fft import configure_for_pool_worker
 from .scheduler import ScheduledGroup
 
 __all__ = [
-    "ExecutionBackend",
     "SerialBackend",
-    "ProcessPoolBackend",
     "DistributedBackend",
     "execute_group",
     "group_record",
@@ -95,35 +85,30 @@ def execute_group(
     job_store = store if precision == "complex128" else None
     stored = [None if job_store is None else job_store.load(job) for job in jobs]
     pending = [job for job, hit in zip(jobs, stored) if hit is None]
-    adopted = False
-    if pending:
-        if session is None:
-            session = Session(jobs[0].config)
-        if store is not None and not session.ground_state_ready:
-            shared = store.load_ground_state(pending[0].group_key, basis=session.basis)
-            if shared is not None:
-                session.adopt_ground_state(shared)
-                adopted = True  # already on disk, no need to rewrite it
-    if batch_stepping and len(pending) > 1:
-        try:
-            session.propagate_many(
-                [
-                    {
-                        "propagator": job.config.propagator.name,
-                        "time_step_as": job.config.run.time_step_as,
-                        "n_steps": job.config.run.n_steps,
-                        "params": dict(job.config.propagator.params),
-                    }
-                    for job in pending
-                ],
-                precision=precision,
-            )
-        except Exception:
-            # fall through: the per-job loop below re-runs solo, so the
-            # failure is attributed to (and recorded for) the right job
-            pass
+    if not pending:
+        return stored
+    if session is None:
+        session = Session(jobs[0].config)
     results: list[JobResult] = []
-    try:
+    with _shared_ground_state(store, pending[0].group_key, session):
+        if batch_stepping and len(pending) > 1:
+            try:
+                session.propagate_many(
+                    [
+                        {
+                            "propagator": job.config.propagator.name,
+                            "time_step_as": job.config.run.time_step_as,
+                            "n_steps": job.config.run.n_steps,
+                            "params": dict(job.config.propagator.params),
+                        }
+                        for job in pending
+                    ],
+                    precision=precision,
+                )
+            except Exception:
+                # fall through: the per-job loop below re-runs solo, so the
+                # failure is attributed to (and recorded for) the right job
+                pass
         for job, hit in zip(jobs, stored):
             if hit is not None:
                 results.append(hit)
@@ -148,28 +133,47 @@ def execute_group(
                     job_store.save(result)
                 except Exception as exc:
                     # a persistence failure (full disk, unwritable dir) must
-                    # not discard finished physics or abort the sweep: the job
-                    # stays completed but unsaved, and a rerun recomputes it
+                    # not discard finished physics or abort the sweep: the
+                    # job stays completed but unsaved, and a rerun recomputes it
                     result.error = f"checkpoint write failed: {type(exc).__name__}: {exc}"
                     warnings.warn(f"job {job.job_id}: {result.error}")
             results.append(result)
-    finally:
-        # also after a failed propagation: the SCF may have finished first,
-        # and persisting it still saves the resume a full reconvergence
-        if pending and store is not None and not adopted and session.ground_state_ready:
-            _persist_ground_state(store, pending[0].group_key, session)
     return results
 
 
-def _persist_ground_state(store, group_key: str, session: Session) -> None:
-    """Best-effort save of a session's converged SCF; never aborts the sweep."""
+@contextmanager
+def _shared_ground_state(store, group_key: str, session: Session):
+    """Share one group's SCF through ``store`` around the block that needs it.
+
+    On entry a session without a converged SCF adopts the group's SCF from
+    the store when the store holds it; on exit — also after a failed
+    propagation, since the SCF may have finished first and persisting it
+    still saves a resume a full reconvergence — an SCF converged inside the
+    block is persisted, best-effort: a failing write warns and never aborts
+    the sweep. ``store=None`` shares nothing. This is the one ground-state
+    sequence of :func:`execute_group` and
+    :meth:`repro.batch.BatchRunner.prepare_ground_states`.
+    """
+    adopted = False
+    if store is not None and not session.ground_state_ready:
+        shared = store.load_ground_state(group_key, basis=session.basis)
+        if shared is not None:
+            session.adopt_ground_state(shared)
+            adopted = True  # already on disk, no need to rewrite it
     try:
-        # already persisted (e.g. by prepare_ground_states warming the store):
-        # skip rewriting the orbital archive, the largest file in the store
-        if not store.has_ground_state(group_key):
-            store.save_ground_state(group_key, session.ground_state())
-    except Exception as exc:
-        warnings.warn(f"ground-state checkpoint write failed: {type(exc).__name__}: {exc}")
+        yield
+    finally:
+        if store is not None and not adopted and session.ground_state_ready:
+            try:
+                # already persisted (e.g. by prepare_ground_states warming the
+                # store): skip rewriting the orbital archive, the largest file
+                # in the store
+                if not store.has_ground_state(group_key):
+                    store.save_ground_state(group_key, session.ground_state())
+            except Exception as exc:
+                warnings.warn(
+                    f"ground-state checkpoint write failed: {type(exc).__name__}: {exc}"
+                )
 
 
 def group_wall_seconds(results) -> float:
@@ -220,30 +224,20 @@ def store_record(store, results) -> dict:
     }
 
 
-def _run_group_worker(payload) -> list[dict]:
-    """Process-pool entry point: run a group, return JSON-able result dicts.
-
-    Results cross the process boundary in dict form (observables only) to
-    avoid pickling wavefunctions and grids; results stored inside the worker
-    keep the full trajectories on disk. FFT threading is capped to one worker
-    first — the pool already owns the cores, and oversubscribing
-    ``workers * fft_threads`` ways degrades every group.
-    """
-    configure_for_pool_worker()
-    jobs, options = payload
-    return [result.to_dict() for result in execute_group(jobs, **options)]
-
-
 # ---------------------------------------------------------------------------
 # The backends
 # ---------------------------------------------------------------------------
 
 
-class ExecutionBackend:
-    """Where the groups of a sweep run: ``submit_group`` then ``drain``.
+class SerialBackend:
+    """In-process execution of scheduled groups, one :meth:`run_group` at a time.
 
     Parameters
     ----------
+    sessions:
+        Warm :class:`~repro.api.Session`\\ s keyed by group key (from
+        :meth:`repro.batch.BatchRunner.prepare_ground_states`); a group with
+        one runs through it instead of building its own.
     store:
         A :class:`~repro.store.ResultStore` serving and receiving results and
         shared ground states; ``None`` disables persistence.
@@ -258,99 +252,45 @@ class ExecutionBackend:
     """
 
     #: registry name of the backend (the ``ExecutionSettings(backend=...)`` string)
-    name = "backend"
+    name = "serial"
 
-    def __init__(self, *, store=None, raise_on_error: bool = False,
-                 batch_stepping: bool = False, precision: str = "complex128"):
+    def __init__(self, *, sessions: dict | None = None, store=None,
+                 raise_on_error: bool = False, batch_stepping: bool = False,
+                 precision: str = "complex128"):
+        self.sessions = {} if sessions is None else sessions
         self.store = store
         self.raise_on_error = bool(raise_on_error)
         self.batch_stepping = bool(batch_stepping)
         self.precision = resolve_precision(precision)
         self.groups: list[ScheduledGroup] = []
-        self._drained_groups = 0
-        self._drained_jobs = 0
-        self._done = False
-        self._cancelled = False
 
     # ------------------------------------------------------------------
-    def submit_group(self, group: ScheduledGroup) -> None:
-        """Enqueue one scheduled ground-state group for execution."""
-        self.groups.append(group)
-
-    def _options(self) -> dict:
-        """The :func:`execute_group` keywords every group runs under."""
-        return {
-            "store": self.store,
-            "raise_on_error": self.raise_on_error,
-            "batch_stepping": self.batch_stepping,
-            "precision": self.precision,
-        }
-
     def _execute(self, group: ScheduledGroup) -> list[JobResult]:
-        """Run one group where this backend runs groups."""
-        return execute_group(group.jobs, **self._options())
-
-    def _finish_group(self, group: ScheduledGroup, results: list[JobResult]) -> list[JobResult]:
-        """Stamp an executed group's observed wall and count it as drained."""
-        group.observed_seconds = group_wall_seconds(results)
-        self._drained_groups += 1
-        self._drained_jobs += group.n_jobs
-        return results
+        """Run one group's jobs through :func:`execute_group`."""
+        return execute_group(
+            group.jobs,
+            session=self.sessions.get(group.key),
+            store=self.store,
+            raise_on_error=self.raise_on_error,
+            batch_stepping=self.batch_stepping,
+            precision=self.precision,
+        )
 
     def run_group(self, group: ScheduledGroup) -> list[JobResult]:
-        """Execute one submitted group now and return its job results.
+        """Execute one scheduled group now and return its job results.
 
-        This is the step :meth:`drain` repeats; callers that interleave other
-        work between groups (the campaign service's leases and preemption)
-        drive it one group at a time.
+        Stamps the group's ``observed_seconds`` and records it for
+        :meth:`execution_summary`. Callers loop over their scheduled groups;
+        the campaign service interleaves its leases and preemption between
+        calls.
         """
-        return self._finish_group(group, self._execute(group))
-
-    def drain(self) -> list[JobResult]:
-        """Run every submitted group (in submission order) and return all job
-        results; stops at the next group boundary once cancelled."""
-        results: list[JobResult] = []
-        for group in self.groups:
-            if self._cancelled:
-                break
-            results.extend(self.run_group(group))
-        self._done = True
+        results = self._execute(group)
+        group.observed_seconds = group_wall_seconds(results)
+        self.groups.append(group)
         return results
 
-    # ------------------------------------------------------------------
-    # Non-blocking observation: poll/cancel beside drain
-    # ------------------------------------------------------------------
-    def poll(self) -> dict:
-        """Non-blocking progress snapshot of the drain, JSON-serializable.
-
-        Meaningful mid-drain when the backend is driven from another thread
-        or between a service's group boundaries; before ``drain`` it reports
-        zero progress, after it ``done`` is ``True``.
-        """
-        return {
-            "backend": self.name,
-            "n_groups": len(self.groups),
-            "n_jobs": sum(g.n_jobs for g in self.groups),
-            "groups_done": self._drained_groups,
-            "jobs_done": self._drained_jobs,
-            "cancelled": self._cancelled,
-            "done": self._done,
-        }
-
-    def cancel(self) -> int:
-        """Ask the drain to stop at the next group boundary.
-
-        Groups already executed keep their results (and stored entries — a
-        cancelled sweep resumes like a crashed one); returns the number of
-        submitted groups that had not finished when cancellation was
-        requested.
-        """
-        self._cancelled = True
-        return max(0, len(self.groups) - self._drained_groups)
-
-    # ------------------------------------------------------------------
     def execution_summary(self) -> dict:
-        """How the submitted work was (or will be) placed, JSON-serializable."""
+        """How the executed groups were placed, JSON-serializable."""
         return {
             "backend": self.name,
             "n_groups": len(self.groups),
@@ -359,79 +299,7 @@ class ExecutionBackend:
         }
 
 
-class SerialBackend(ExecutionBackend):
-    """In-process execution in submission order.
-
-    Reuses warm :class:`~repro.api.Session`\\ s (from
-    :meth:`repro.batch.BatchRunner.prepare_ground_states`): pass them as
-    ``sessions``, keyed by group key.
-    """
-
-    name = "serial"
-
-    def __init__(self, *, sessions: dict | None = None, **options):
-        super().__init__(**options)
-        self.sessions = {} if sessions is None else sessions
-
-    def _execute(self, group: ScheduledGroup) -> list[JobResult]:
-        return execute_group(group.jobs, session=self.sessions.get(group.key), **self._options())
-
-
-class ProcessPoolBackend(SerialBackend):
-    """One worker task per group on a process pool.
-
-    Whole groups ship to workers, so the one-SCF-per-group property survives
-    the pool; custom components registered at runtime are only visible to
-    workers on fork-based platforms. A single-group sweep has nothing to
-    parallelise and runs in-process; if no pool can be created the backend
-    warns — naming the original error and the fallback — and runs serially.
-    """
-
-    name = "process"
-
-    def __init__(self, *, max_workers: int | None = None, **options):
-        super().__init__(**options)
-        self.max_workers = max_workers
-        self.used_fallback = False
-
-    def drain(self) -> list[JobResult]:
-        if len(self.groups) <= 1:
-            return super().drain()
-        workers = min(self.max_workers or os.cpu_count() or 1, len(self.groups))
-        try:
-            executor = ProcessPoolExecutor(max_workers=workers)
-        except (OSError, ValueError, ImportError) as exc:
-            self.used_fallback = True
-            warnings.warn(
-                f"process pool unavailable ({type(exc).__name__}: {exc}); "
-                f"falling back to the '{SerialBackend.name}' execution backend"
-            )
-            return super().drain()
-        results: list[JobResult] = []
-        with executor:
-            futures = []
-            for group in self.groups:
-                if self._cancelled:
-                    break
-                futures.append(
-                    (group, executor.submit(_run_group_worker, (group.jobs, self._options())))
-                )
-            for group, future in futures:
-                if self._cancelled and future.cancel():
-                    continue  # never started; its jobs simply don't report
-                group_results = [JobResult.from_dict(d) for d in future.result()]
-                results.extend(self._finish_group(group, group_results))
-        self._done = True
-        return results
-
-    def execution_summary(self) -> dict:
-        summary = super().execution_summary()
-        summary["max_workers"] = self.max_workers
-        summary["used_fallback"] = self.used_fallback
-        return summary
-
-
-class DistributedBackend(ExecutionBackend):
+class DistributedBackend(SerialBackend):
     """Execution over the virtual ranks of a simulated MPI communicator.
 
     Groups are placed onto ranks by the scheduler (least-loaded packing,
@@ -444,9 +312,9 @@ class DistributedBackend(ExecutionBackend):
     Summit nodes (6 ranks per node, 3 per socket), so every transfer is
     additionally attributed to the wire it crosses — NVLink within a socket,
     X-Bus across sockets, InfiniBand across nodes — with a predicted wall
-    cost. Results come back in dict form (observables only), exactly like
-    process-pool workers — the report JSON is bit-identical to the serial
-    backend's.
+    cost. Groups run in-process (through the runner's warm sessions like
+    the serial backend) and results come back in dict form (observables
+    only) — the report JSON is bit-identical to the serial backend's.
 
     Parameters
     ----------
@@ -515,11 +383,11 @@ class DistributedBackend(ExecutionBackend):
         return np.frombuffer(text.encode(), dtype=np.uint8)
 
     def _assigned_rank(self, group: ScheduledGroup) -> int:
-        """The group's scheduler-assigned rank, or round-robin (by drain
+        """The group's scheduler-assigned rank, or round-robin (by execution
         position) when unplaced."""
         if group.rank is not None and 0 <= group.rank < self.comm.size:
             return group.rank
-        return self._drained_groups % self.comm.size
+        return len(self.groups) % self.comm.size
 
     def _execute(self, group: ScheduledGroup) -> list[JobResult]:
         rank = self._assigned_rank(group)
@@ -539,7 +407,7 @@ class DistributedBackend(ExecutionBackend):
         stats["comm_seconds"] += self.placement.transfer_seconds(dispatch.nbytes, 0, rank)
 
         # "remote" execution on the rank (in-process, bit-identical physics)
-        group_results = execute_group(group.jobs, **self._options())
+        group_results = super()._execute(group)
 
         # results travel rank -> root as observables-only dicts
         wire = self._wire([result.to_dict() for result in group_results])

@@ -19,6 +19,9 @@ store keys are computed with ``run.schedule`` / ``run.machine`` excluded,
 so the same sweep re-run under any settings reuses its stored results
 bit-for-bit.
 
+The backend is ``"serial"`` or ``"distributed"``; both run each group
+in-process (:mod:`repro.exec.backends`), so no setting sizes a worker pool.
+
 Without an explicit ``settings=`` object, a
 :class:`~repro.batch.BatchRunner` takes :meth:`ExecutionSettings.from_config`
 of its base config — the ``run.schedule`` / ``run.machine`` sections over the
@@ -38,7 +41,7 @@ __all__ = ["BACKEND_NAMES", "ExecutionSettings"]
 
 #: the ``backend=`` names accepted by :class:`ExecutionSettings` /
 #: :class:`~repro.batch.BatchRunner`
-BACKEND_NAMES = ("serial", "process", "distributed")
+BACKEND_NAMES = ("serial", "distributed")
 
 
 @dataclass(frozen=True)
@@ -48,10 +51,11 @@ class ExecutionSettings:
     Parameters
     ----------
     backend:
-        ``"serial"``, ``"process"`` or ``"distributed"`` (see
-        :mod:`repro.exec.backends`).
+        ``"serial"`` or ``"distributed"`` (see :mod:`repro.exec.backends`);
+        both run groups in-process, the distributed one placed onto
+        virtual ranks with per-rank communication accounting.
     ranks:
-        Virtual MPI ranks of the distributed backend (ignored by the others).
+        Virtual MPI ranks of the distributed backend (ignored by serial).
     schedule:
         Scheduling policy, one of :data:`repro.api.SCHEDULE_POLICIES`.
     machine:
@@ -60,8 +64,6 @@ class ExecutionSettings:
         energy predictions).
     gpus_per_group:
         Modeled GPUs each ground-state group occupies on the machine.
-    max_workers:
-        Process-pool size (process backend only; ``None`` = CPU count).
     batch_stepping:
         Advance the jobs of a ground-state group in lockstep through the
         batched ``step_many`` engine (stacked FFTs across jobs) instead of
@@ -80,15 +82,13 @@ class ExecutionSettings:
     schedule: str = "fifo"
     machine: str | None = "summit"
     gpus_per_group: int = 1
-    max_workers: int | None = None
     batch_stepping: bool = False
     precision: str = "complex128"
 
     def __post_init__(self) -> None:
         if self.backend not in BACKEND_NAMES:
             raise ValueError(
-                f"backend must be one of {list(BACKEND_NAMES)} "
-                f"('serial', 'process' or 'distributed'), got {self.backend!r}"
+                f"backend must be one of {list(BACKEND_NAMES)}, got {self.backend!r}"
             )
         # integral floats are coerced (JSON-sourced settings dicts may carry
         # ranks=4.0)
@@ -109,8 +109,6 @@ class ExecutionSettings:
             )
         if self.machine is not None:
             resolve_machine(self.machine)  # raises listing the presets
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1 or None, got {self.max_workers}")
         if not isinstance(self.batch_stepping, bool):
             raise ValueError(f"batch_stepping must be a bool, got {self.batch_stepping!r}")
         object.__setattr__(self, "precision", resolve_precision(self.precision))
@@ -147,7 +145,7 @@ class ExecutionSettings:
 
     def placement(self) -> NodePlacement | None:
         """A dense :class:`~repro.cost.NodePlacement` of ``ranks`` on the
-        machine (``None`` without a machine model or for local backends)."""
+        machine (``None`` without a machine model or for the serial backend)."""
         if self.machine is None or self.backend != "distributed":
             return None
         return NodePlacement(n_ranks=self.ranks, system=resolve_machine(self.machine))

@@ -16,11 +16,9 @@ that cache for the pure-Python engine:
   unavailable. pocketfft computes every transform of a batch independently,
   so stacking jobs/bands along leading axes is bit-identical to transforming
   each slice alone — the property the batched stepping engine relies on.
-* :func:`set_fft_workers` / :func:`configure_for_pool_worker` control the
-  intra-transform thread count. Process-pool workers must cap it at 1
-  (``REPRO_FFT_WORKERS`` is also honoured at import): the pool already
-  parallelises across groups, and nested FFT threading oversubscribes the
-  host.
+* :func:`set_fft_workers` / :func:`get_fft_workers` control the
+  intra-transform thread count (``REPRO_FFT_WORKERS`` sets it at import;
+  default 1).
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ __all__ = [
     "clear_plan_cache",
     "set_fft_workers",
     "get_fft_workers",
-    "configure_for_pool_worker",
     "scipy_fft_available",
     "plan_dtype",
 ]
@@ -76,19 +73,6 @@ def get_fft_workers() -> int:
     return _workers
 
 
-def configure_for_pool_worker() -> None:
-    """Cap FFT threading inside a process-pool worker.
-
-    The pool parallelises across ground-state groups; letting every worker
-    also spawn FFT threads oversubscribes the host, so workers transform
-    single-threaded. Called by the process-pool entry point before any
-    physics runs in the worker.
-    """
-    set_fft_workers(1)
-    # children forked/spawned from this worker (none today) inherit the cap
-    os.environ["REPRO_FFT_WORKERS"] = "1"
-
-
 def scipy_fft_available() -> bool:
     """Whether the scipy pocketfft backend is in use (else numpy fallback)."""
     return _scipy_fft is not None
@@ -109,8 +93,7 @@ class FFTPlan:
     A plan is cheap state — the grid, the dtype tier, and a workspace table
     for callers that scatter sphere coefficients onto the full mesh — but
     caching it process-wide is what lets every step of every job share the
-    same backend configuration (and lets pool workers cap threading in one
-    place).
+    same backend configuration.
 
     Obtain plans through :func:`get_plan`; constructing them directly
     bypasses the cache.

@@ -61,19 +61,6 @@ __all__ = ["SweepOutcome", "run_sweep"]
 DEFAULT_DRIFT_THRESHOLD = 1.5
 
 
-def _segment_seconds(segment, n_ranks: int) -> float:
-    """Modeled duration of a lease's executed groups: the busiest virtual
-    rank's total planned seconds under the scheduler's packing — for a full
-    un-preempted sweep this is exactly the planner's predicted wall.
-    ``planned_seconds`` prefers calibration-repriced values, so a re-packed
-    sweep's leases shrink or grow with the corrected pricing."""
-    loads: dict[int, float] = {}
-    for group in segment:
-        rank = group.rank if group.rank is not None and 0 <= group.rank < n_ranks else 0
-        loads[rank] = loads.get(rank, 0.0) + group.planned_seconds
-    return max(loads.values(), default=0.0)
-
-
 def _observations_of(groups) -> list[Observation]:
     """Calibration observations of executed groups (unusable ones dropped by
     the fit itself — e.g. fully cached groups observing ~0 seconds)."""
@@ -245,8 +232,6 @@ async def run_sweep(
         batch_stepping=settings.batch_stepping,
         precision=settings.precision,
     )
-    for group in scheduled:
-        executor.submit_group(group)
 
     results = []
     leases: list[Lease] = []
@@ -300,7 +285,18 @@ async def run_sweep(
                         if progress is not None:
                             progress.repacks = len(repack_events)
         finally:
-            pool.release(lease, _segment_seconds(segment, settings.ranks))
+            # the lease's modeled duration: the busiest rank's planned seconds
+            # (calibration-repriced where re-packed) — for a full un-preempted
+            # sweep exactly the planner's predicted wall
+            pool.release(
+                lease,
+                _rank_makespan(
+                    segment,
+                    {g.index: g.rank for g in segment},
+                    lambda g: g.planned_seconds,
+                    settings.ranks,
+                ),
+            )
             leases.append(lease)
         cursor = lease.end
         if remaining:

@@ -13,7 +13,6 @@ import pytest
 
 from repro.api import PROPAGATORS, Session, SimulationConfig
 from repro.batch import BatchRunner, SweepSpec, config_hash
-from repro.exec import ExecutionSettings
 from repro.store import ResultStore
 
 
@@ -211,29 +210,11 @@ class TestFailureCapture:
 
 
 # ---------------------------------------------------------------------------
-# Process-pool backend
+# Backend selection
 # ---------------------------------------------------------------------------
 
 
 class TestProcessBackend:
-    def test_process_backend_matches_serial(self, tiny_config):
-        spec = SweepSpec(tiny_config, {"basis.ecut": [1.5, 2.0]})
-        serial = BatchRunner(spec).run()
-        parallel = BatchRunner(
-            spec, settings=ExecutionSettings(backend="process", max_workers=2)
-        ).run()
-        assert [r.status for r in parallel] == ["completed", "completed"]
-        for a, b in zip(serial, parallel):
-            assert a.job_id == b.job_id
-            np.testing.assert_allclose(a.trajectory.energies, b.trajectory.energies, rtol=0, atol=1e-12)
-            assert a.summary["hamiltonian_applications"] == b.summary["hamiltonian_applications"]
-
-    def test_single_group_process_sweep_stays_in_process(self, ptcn_rk4_spec, count_scf_solves):
-        # one ground-state group: nothing to parallelise over, serial path used
-        report = BatchRunner(ptcn_rk4_spec, settings=ExecutionSettings(backend="process")).run()
-        assert [r.status for r in report] == ["completed"] * 4
-        assert len(count_scf_solves) == 1
-
     def test_unknown_backend_raises(self, ptcn_rk4_spec):
         with pytest.raises(ValueError, match="serial"):
             BatchRunner(ptcn_rk4_spec, settings={"backend": "threads"})

@@ -20,11 +20,17 @@ class TestValidation:
         assert settings.schedule == "fifo"
         assert settings.machine == "summit"
         assert settings.gpus_per_group == 1
-        assert settings.max_workers is None
+        assert list(settings.as_dict()) == [
+            "backend", "ranks", "schedule", "machine", "gpus_per_group",
+            "batch_stepping", "precision",
+        ]
+        assert BACKEND_NAMES == ("serial", "distributed")
 
     def test_unknown_backend_lists_choices(self):
-        with pytest.raises(ValueError, match="serial.*process.*distributed"):
+        with pytest.raises(ValueError, match="serial.*distributed"):
             ExecutionSettings(backend="threads")
+        with pytest.raises(ValueError, match="serial.*distributed"):
+            ExecutionSettings(backend="process")
 
     @pytest.mark.parametrize("ranks", [0, -1, 1.5, True])
     def test_bad_ranks_rejected(self, ranks):
@@ -43,10 +49,6 @@ class TestValidation:
     def test_bad_gpus_per_group_rejected(self, gpus):
         with pytest.raises(ValueError, match="gpus_per_group"):
             ExecutionSettings(gpus_per_group=gpus)
-
-    def test_bad_max_workers_rejected(self):
-        with pytest.raises(ValueError, match="max_workers"):
-            ExecutionSettings(max_workers=0)
 
     def test_integral_floats_coerced_for_legacy_and_json_paths(self):
         """Integral floats (ranks=4.0, as JSON-sourced settings dicts carry
@@ -164,8 +166,8 @@ class TestBatchRunnerRedesign:
 
     def test_settings_accepts_the_dict_form(self, tiny_config):
         spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0]})
-        runner = BatchRunner(spec, settings={"backend": "process", "max_workers": 2})
-        assert runner.settings == ExecutionSettings(backend="process", max_workers=2)
+        runner = BatchRunner(spec, settings={"backend": "distributed", "ranks": 2})
+        assert runner.settings == ExecutionSettings(backend="distributed", ranks=2)
 
     def test_settings_default_resolves_from_the_config(self, tiny_config):
         config = tiny_config.with_overrides(
@@ -185,12 +187,6 @@ class TestBatchRunnerRedesign:
         assert list(inspect.signature(BatchRunner.from_plan).parameters) == [
             "plan", "name", "store", "raise_on_error",
         ]
-
-    def test_backend_names_reexported_for_compat(self):
-        from repro.batch.runner import BACKEND_NAMES as runner_names
-
-        assert runner_names is BACKEND_NAMES
-        assert runner_names == ("serial", "process", "distributed")
 
     def test_report_records_the_settings_it_ran_under(self, tiny_config):
         spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0, 2.0]})

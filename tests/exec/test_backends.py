@@ -4,9 +4,8 @@ Acceptance tests of the backend layer: ``BatchRunner(spec,
 settings=ExecutionSettings(backend="distributed", ranks=4))`` runs a >=4-group
 sweep over the simulated MPI runtime, reports per-rank communication volume,
 and its deterministic report export is bit-identical to the serial backend's;
-the process-pool fallback warning names the original error and the fallback
-backend; ground states shared through the store let resumed sweeps skip every
-SCF.
+ground states shared through the store (or warm sessions without one) let
+resumed sweeps skip every SCF.
 """
 
 import json
@@ -25,11 +24,12 @@ def on_ranks(ranks: int, **fields) -> ExecutionSettings:
     return ExecutionSettings(backend="distributed", ranks=ranks, **fields)
 
 
-def drain_report(backend, spec) -> SweepReport:
-    """Schedule ``spec`` (fifo), drain it through ``backend``, wrap the results."""
+def run_report(backend, spec) -> SweepReport:
+    """Schedule ``spec`` (fifo), run every group through ``backend``, wrap the results."""
+    results = []
     for group in Scheduler("fifo").schedule(BatchRunner(spec).groups()):
-        backend.submit_group(group)
-    return SweepReport(backend.drain(), axes=spec.axis_paths, execution=backend.execution_summary())
+        results.extend(backend.run_group(group))
+    return SweepReport(results, axes=spec.axis_paths, execution=backend.execution_summary())
 
 
 @pytest.fixture()
@@ -112,9 +112,7 @@ class TestDistributedBackend:
         scheduler = Scheduler("fifo")
         scheduled = scheduler.schedule(BatchRunner(four_group_spec).groups())
         backend = DistributedBackend(comm=comm)
-        for group in scheduled:
-            backend.submit_group(group)
-        results = backend.drain()
+        results = [r for group in scheduled for r in backend.run_group(group)]
         assert len(results) == 8
         assert comm.stats.total_bytes() > 0
         assert len(comm.events) == 8  # 2 sendrecvs x 4 groups
@@ -185,8 +183,8 @@ class TestPlacementCosting:
         sweep's traffic crosses IB instead of NVLink and costs more wall."""
         from repro.cost import NodePlacement
 
-        dense = drain_report(DistributedBackend(ranks=4), four_group_spec)
-        sparse = drain_report(
+        dense = run_report(DistributedBackend(ranks=4), four_group_spec)
+        sparse = run_report(
             DistributedBackend(ranks=4, placement=NodePlacement(n_ranks=4, ranks_per_node=2)),
             four_group_spec,
         )
@@ -208,7 +206,7 @@ class TestPlacementCosting:
         serial = BatchRunner(four_group_spec).run()
         variants = [
             BatchRunner(four_group_spec, settings=on_ranks(4)).run(),
-            drain_report(
+            run_report(
                 DistributedBackend(ranks=4, placement=NodePlacement(n_ranks=4, ranks_per_node=1)),
                 four_group_spec,
             ),
@@ -233,37 +231,6 @@ class TestPlacementCosting:
         group = decoded["groups"][0]
         assert group["predicted_seconds"] > 0
         assert group["predicted_energy_j"] > 0
-
-
-# ---------------------------------------------------------------------------
-# Process-pool fallback warning (satellite fix)
-# ---------------------------------------------------------------------------
-
-
-class TestProcessFallbackWarning:
-    def test_fallback_warning_names_error_and_backend(self, tiny_config, monkeypatch):
-        """The warning must carry the originating exception (type and message)
-        and the backend the sweep fell back to."""
-        import repro.exec.backends as backends_module
-
-        def refuse(*args, **kwargs):
-            raise OSError("no child processes allowed in this sandbox")
-
-        monkeypatch.setattr(backends_module, "ProcessPoolExecutor", refuse)
-        spec = SweepSpec(tiny_config, {"basis.ecut": [1.5, 2.0]})
-        with pytest.warns(
-            UserWarning,
-            match=r"OSError: no child processes allowed in this sandbox.*'serial'",
-        ):
-            report = BatchRunner(spec, settings=ExecutionSettings(backend="process")).run()
-        assert [r.status for r in report] == ["completed", "completed"]
-        assert report.execution["used_fallback"] is True
-
-    def test_no_warning_on_single_group_sweep(self, tiny_config, recwarn):
-        spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0, 2.0]})
-        report = BatchRunner(spec, settings=ExecutionSettings(backend="process")).run()
-        assert [r.status for r in report] == ["completed", "completed"]
-        assert not [w for w in recwarn.list if "process pool" in str(w.message)]
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +344,7 @@ class TestGroundStateSharing:
         with pytest.raises(ValueError, match="wavefunction"):
             fresh.adopt_ground_state(without_basis)
 
-    def test_distributed_and_process_share_ground_states_too(self, tiny_config, tmp_path, count_scf_solves):
+    def test_distributed_shares_ground_states_too(self, tiny_config, tmp_path, count_scf_solves):
         spec = SweepSpec(tiny_config, {"basis.ecut": [1.5, 2.0]})
         BatchRunner(spec, store=ResultStore(tmp_path), settings=on_ranks(2)).run()
         assert len(count_scf_solves) == 2
@@ -396,13 +363,17 @@ class TestGroundStateSharing:
 
 class TestBackendSurface:
     def test_unknown_backend_raises_listing_choices(self, four_group_spec):
-        with pytest.raises(ValueError, match="serial.*process.*distributed"):
+        with pytest.raises(ValueError, match="serial.*distributed"):
             BatchRunner(four_group_spec, settings={"backend": "threads"})
 
-    def test_serial_backend_reuses_warm_sessions(self, four_group_spec, count_scf_solves):
-        runner = BatchRunner(four_group_spec)
+    @pytest.mark.parametrize("backend", ["serial", "distributed"])
+    def test_backend_reuses_warm_sessions(self, backend, four_group_spec, count_scf_solves):
+        """Without a store, run() executes through prepare_ground_states'
+        warm sessions on every backend: one SCF per group in total."""
+        runner = BatchRunner(four_group_spec, settings=ExecutionSettings(backend=backend))
         assert runner.prepare_ground_states() == 4
-        runner.run()
+        report = runner.run()
+        assert [r.status for r in report] == ["completed"] * 8
         assert len(count_scf_solves) == 4  # run() did not reconverge anything
 
     def test_backends_report_their_placement(self, tiny_config):
@@ -422,8 +393,7 @@ class TestBackendSurface:
         scheduled = Scheduler("fifo", cost_fn=lambda configs: float("nan")).schedule(runner.groups())
         backend = SerialBackend()
         for group in scheduled:
-            backend.submit_group(group)
-        backend.drain()
+            backend.run_group(group)
         text = json.dumps(backend.execution_summary(), allow_nan=False)  # strict
         assert json.loads(text)["groups"][0]["predicted_cost"] is None
 
@@ -432,127 +402,22 @@ class TestBackendSurface:
         runner = BatchRunner(spec)
         scheduled = Scheduler("fifo").schedule(runner.groups())
         backend = SerialBackend()
-        for group in scheduled:
-            backend.submit_group(group)
-        results = backend.drain()
+        results = [r for group in scheduled for r in backend.run_group(group)]
         reference = runner.run()
         assert [r.job_id for r in results] == [r.job_id for r in reference]
         for a, b in zip(results, reference):
             np.testing.assert_array_equal(a.trajectory.energies, b.trajectory.energies)
 
-    def test_run_group_steps_the_drain_one_group_at_a_time(self, four_group_spec, monkeypatch):
-        """run_group is the unit drain repeats: it executes one submitted
-        group, stamps its observed seconds and advances the progress counts."""
+    def test_run_group_steps_the_drain_one_group_at_a_time(self, four_group_spec):
+        """run_group is the one step every executor loop repeats: it executes
+        one scheduled group, stamps its observed seconds and records only
+        that group for the execution summary."""
         backend = SerialBackend()
-        for group in Scheduler("fifo").schedule(BatchRunner(four_group_spec).groups()):
-            backend.submit_group(group)
-        first = backend.groups[0]
+        first = Scheduler("fifo").schedule(BatchRunner(four_group_spec).groups())[0]
         results = backend.run_group(first)
         assert [r.job_id for r in results] == [job.job_id for job in first.jobs]
         assert first.observed_seconds == sum(r.summary["wall_time"] for r in results)
-        assert backend.poll()["groups_done"] == 1 and backend.poll()["jobs_done"] == 2
-        assert backend.execution_summary()["groups"][0]["observed_seconds"] > 0
-
-
-# ---------------------------------------------------------------------------
-# Non-blocking observation: poll() / cancel() beside drain()
-# ---------------------------------------------------------------------------
-
-
-class TestPollCancel:
-    """Every backend exposes a JSON-able progress snapshot and a cooperative
-    cancel that stops the drain at the next group boundary."""
-
-    @staticmethod
-    def _submit(backend, spec):
-        scheduled = Scheduler("fifo").schedule(BatchRunner(spec).groups())
-        for group in scheduled:
-            backend.submit_group(group)
-        return backend
-
-    @staticmethod
-    def _stub_execute_group(monkeypatch, on_group=None):
-        """Replace the physics with instant stub results; ``on_group(i)`` fires
-        after the i-th group (1-based) so tests can cancel mid-drain."""
-        from repro.batch import JobResult
-
-        calls: list[int] = []
-
-        def fake(jobs, **options):
-            calls.append(len(jobs))
-            if on_group is not None:
-                on_group(len(calls))
-            return [JobResult.from_failure(job, RuntimeError("stubbed")) for job in jobs]
-
-        monkeypatch.setattr("repro.exec.backends.execute_group", fake)
-        return calls
-
-    def test_poll_reports_zero_then_full_progress(self, four_group_spec, monkeypatch):
-        self._stub_execute_group(monkeypatch)
-        backend = self._submit(SerialBackend(), four_group_spec)
-
-        before = backend.poll()
-        assert before == {
-            "backend": "serial",
-            "n_groups": 4,
-            "n_jobs": 8,
-            "groups_done": 0,
-            "jobs_done": 0,
-            "cancelled": False,
-            "done": False,
-        }
-        results = backend.drain()
-        after = backend.poll()
-        assert len(results) == 8
-        assert after["groups_done"] == 4 and after["jobs_done"] == 8
-        assert after["done"] and not after["cancelled"]
-        json.dumps(after)  # the snapshot is strict JSON
-
-    def test_cancel_before_drain_skips_everything(self, four_group_spec, monkeypatch):
-        calls = self._stub_execute_group(monkeypatch)
-        backend = self._submit(SerialBackend(), four_group_spec)
-
-        assert backend.cancel() == 4  # all four groups were still pending
-        assert backend.drain() == []
-        assert calls == []  # no physics ran at all
-        status = backend.poll()
-        assert status["cancelled"] and status["done"]
-        assert status["groups_done"] == 0
-
-    def test_mid_drain_cancel_stops_at_the_group_boundary(self, four_group_spec, monkeypatch):
-        backend = SerialBackend()
-        pending_at_cancel = []
-
-        def cancel_after_second(i):
-            if i == 2:
-                pending_at_cancel.append(backend.cancel())
-
-        calls = self._stub_execute_group(monkeypatch, on_group=cancel_after_second)
-        self._submit(backend, four_group_spec)
-
-        results = backend.drain()
-        # group 2 finished (cancel is cooperative), groups 3-4 never started
-        assert calls == [2, 2]
-        assert len(results) == 4
-        assert pending_at_cancel == [3]  # groups 2, 3, 4 were unfinished then
-        status = backend.poll()
-        assert status["cancelled"] and status["done"]
-        assert status["groups_done"] == 2 and status["jobs_done"] == 4
-
-    def test_distributed_backend_honours_cancel(self, four_group_spec, monkeypatch):
-        comm = SimCommunicator(size=2)
-        backend = DistributedBackend(comm=comm)
-
-        def cancel_after_first(i):
-            if i == 1:
-                backend.cancel()
-
-        calls = self._stub_execute_group(monkeypatch, on_group=cancel_after_first)
-        self._submit(backend, four_group_spec)
-
-        results = backend.drain()
-        assert calls == [2]  # only the first group was dispatched
-        assert len(results) == 2
-        status = backend.poll()
-        assert status["backend"] == "distributed"
-        assert status["groups_done"] == 1 and status["cancelled"] and status["done"]
+        assert backend.groups == [first]
+        summary = backend.execution_summary()
+        assert summary["n_groups"] == 1 and summary["n_jobs"] == 2
+        assert summary["groups"][0]["observed_seconds"] > 0

@@ -10,13 +10,10 @@ Invariants:
 * both flags are execution-only for job identity: ``config_hash`` and group
   keys ignore them, so a warm store re-run under different batching settings
   is served 100 % from cache with zero propagation steps;
-* process-pool workers cap FFT threading at 1 (the pool owns the cores);
 * the scheduler's cost model amortizes batched groups.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -45,19 +42,6 @@ class TestBitIdentity:
         batched = BatchRunner(dt_spec, settings=BATCHED).run()
         assert [r.status for r in batched.results] == ["completed"] * 4
         assert batched.to_json(exclude_timings=True) == solo.to_json(exclude_timings=True)
-
-    def test_process_pool_batched_sweep_matches_serial(self, tiny_config):
-        # two ground-state groups so the pool actually forks; inside each
-        # worker the group steps in lockstep with FFT threads capped at 1
-        spec = SweepSpec(
-            tiny_config,
-            {"system.params.box": [8.0, 8.5], "run.time_step_as": [1.0, 2.0]},
-        )
-        serial = BatchRunner(spec).run()
-        pooled = BatchRunner(
-            spec, settings=ExecutionSettings(backend="process", batch_stepping=True, max_workers=2)
-        ).run()
-        assert pooled.to_json(exclude_timings=True) == serial.to_json(exclude_timings=True)
 
 
 class TestIdentityExclusion:
@@ -101,30 +85,6 @@ class TestStoreReads:
         rerun = BatchRunner(dt_spec, store=store, settings=BATCHED).run()
         assert [r.status for r in rerun.results] == ["cached"] * 4
         assert sorted(loads) == sorted(job.job_id for job in dt_spec.expand())
-
-
-class TestPoolWorkerCapping:
-    def test_run_group_worker_caps_fft_threads_to_one(self, dt_spec, monkeypatch):
-        from repro.exec.backends import _run_group_worker
-        from repro.pw.fft import get_fft_workers, set_fft_workers
-
-        monkeypatch.delenv("REPRO_FFT_WORKERS", raising=False)
-        workers_before = get_fft_workers()
-        set_fft_workers(4)
-        try:
-            (jobs,) = group_jobs(dt_spec).values()
-            payload = (
-                jobs,
-                {"store": None, "raise_on_error": True, "batch_stepping": True,
-                 "precision": "complex128"},
-            )
-            dicts = _run_group_worker(payload)
-            assert get_fft_workers() == 1
-            assert os.environ["REPRO_FFT_WORKERS"] == "1"
-            assert [d["status"] for d in dicts] == ["completed"] * 4
-        finally:
-            set_fft_workers(workers_before)
-            os.environ.pop("REPRO_FFT_WORKERS", None)
 
 
 class TestSettingsPlumbing:

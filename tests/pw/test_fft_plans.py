@@ -5,7 +5,7 @@ safety rests entirely on the value semantics of ``FFTGrid.__eq__`` /
 ``__hash__`` (shape + cell) and ``Cell.__eq__`` / ``__hash__`` (lattice
 vectors). These tests pin that contract, the scipy/numpy backend behaviour
 the batched stepping engine relies on (leading-axis batches bit-identical to
-per-slice transforms), the dtype tiers, and the pool-worker thread cap.
+per-slice transforms), the dtype tiers, and the worker-count validation.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.pw import FFTGrid, PlaneWaveBasis, choose_grid_shape, hydrogen_molecu
 from repro.pw import fft as fft_mod
 from repro.pw.fft import (
     clear_plan_cache,
-    configure_for_pool_worker,
     get_fft_workers,
     get_plan,
     plan_cache_info,
@@ -159,12 +158,6 @@ class TestWorkers:
     def test_set_fft_workers_validates(self):
         with pytest.raises(ValueError, match="workers"):
             set_fft_workers(0)
-
-    def test_configure_for_pool_worker_caps_to_one(self):
-        set_fft_workers(4)
-        configure_for_pool_worker()
-        assert get_fft_workers() == 1
-        assert os.environ["REPRO_FFT_WORKERS"] == "1"
 
 
 class TestWorkspace:
