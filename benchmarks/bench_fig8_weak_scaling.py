@@ -2,7 +2,7 @@
 
 Two levels: the paper's own weak scaling (the component model vs the quoted
 per-50-as times), and the *sweep-level* analogue — one equal-cost ground-state
-group per simulated rank, so the workload grows with the rank count and the
+group per virtual rank, so the workload grows with the rank count and the
 machine-predicted makespan from ``SweepReport.execution`` should stay flat.
 """
 
@@ -54,12 +54,12 @@ _BOND_LENGTHS = [1.3, 1.4, 1.5, 1.6]
 
 
 def test_fig8_sweep_weak_scaling(benchmark, report_writer):
-    """Sweep-level weak scaling: one equal-cost group per simulated rank.
+    """Sweep-level weak scaling: one equal-cost group per virtual rank.
 
     Groups share structure type, basis and grid (only the bond length moves),
     so each rank receives the same predicted work at every scale and the
     machine-predicted makespan built from the per-rank ``SweepReport.execution``
-    volumes stays flat — the sweep analogue of the paper's Fig. 8 curve.
+    accounting stays flat — the sweep analogue of the paper's Fig. 8 curve.
     """
     rank_counts = (1, 2, 4)
 
@@ -72,9 +72,7 @@ def test_fig8_sweep_weak_scaling(benchmark, report_writer):
             )
             report = BatchRunner(
                 spec,
-                settings=ExecutionSettings(
-                    backend="distributed", ranks=ranks, schedule="makespan_balanced"
-                ),
+                settings=ExecutionSettings(ranks=ranks, schedule="makespan_balanced"),
             ).run()
             points[ranks] = sweep_execution_point(report.execution)
         return points
@@ -89,14 +87,13 @@ def test_fig8_sweep_weak_scaling(benchmark, report_writer):
             p["predicted_makespan_s"],
             p["predicted_makespan_s"] / base["predicted_makespan_s"],
             p["predicted_energy_j"],
-            p["comm_bytes"],
         ]
         for ranks, p in points.items()
     ]
     report_writer(
         "fig8_sweep_weak_scaling",
         format_table(
-            ["ranks", "groups", "predicted makespan [s]", "vs 1 rank", "energy [J]", "comm [B]"],
+            ["ranks", "groups", "predicted makespan [s]", "vs 1 rank", "energy [J]"],
             rows,
         ),
     )

@@ -6,7 +6,7 @@ This benchmark submits two single-node campaigns to a 2-node
 :class:`~repro.service.NodePool`, measures the real async-dispatch overhead
 under ``pytest-benchmark``, and checks the layer's acceptance property: the
 co-scheduled modeled makespan is strictly below the serial sum of the two
-plans while the physics export stays backend-invariant. It emits the
+plans while the physics export stays invariant. It emits the
 ``BENCH_service.json`` perf artifact (uploaded by CI).
 """
 

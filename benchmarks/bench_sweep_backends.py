@@ -1,17 +1,15 @@
-"""Sweep dispatch over the execution backends: scheduling + communication volume.
+"""Sweep packing onto virtual ranks: scheduling + per-rank accounting.
 
-The paper's scaling figures (7, 8, 10) account for the communication of one
-distributed SCF; the :class:`~repro.exec.DistributedBackend` extends the same
-accounting one level up, to the *sweep traffic* — group dispatch and result
-collection across simulated MPI ranks. This benchmark measures a small real
-sweep through each backend, renders the per-rank placement/communication
-table, and checks the two properties the scheduler guarantees: cost-aware
-packing balances the predicted per-rank makespan, and the physics export is
-backend-invariant.
+The paper's scaling figures (7, 8, 10) account for one distributed SCF; the
+sweep layer packs whole ground-state groups onto ``ExecutionSettings.ranks``
+virtual ranks and accounts each rank's predicted and observed seconds. This
+benchmark measures a small real sweep at several rank counts, renders the
+per-rank table, and checks the two properties the scheduler guarantees:
+cost-aware packing balances the predicted per-rank makespan, and the physics
+export is rank-count-invariant.
 """
 
 import json
-import time
 
 from repro.analysis import format_table
 from repro.api import SimulationConfig
@@ -20,7 +18,7 @@ from repro.cost import sweep_execution_point
 from repro.exec import ExecutionSettings, Scheduler
 
 #: a 4-group x 2-dt sweep on the tiny semi-local H2 system — large enough to
-#: exercise placement on 4 ranks, small enough to run in seconds
+#: exercise packing onto 4 ranks, small enough to run in seconds
 _BASE = {
     "system": {"structure": "hydrogen_molecule", "params": {"box": 8.0, "bond_length": 1.4}},
     "basis": {"ecut": 2.0},
@@ -34,31 +32,24 @@ def _spec() -> SweepSpec:
     return SweepSpec(SimulationConfig.from_dict(_BASE), _AXES)
 
 
-def test_distributed_sweep_dispatch(benchmark, report_writer):
-    """Distributed sweep over 4 simulated ranks with makespan balancing."""
+def test_packed_sweep_accounting(benchmark, report_writer):
+    """A sweep packed onto 4 virtual ranks with makespan balancing."""
 
     def run():
         return BatchRunner(
-            _spec(),
-            settings=ExecutionSettings(
-                backend="distributed", ranks=4, schedule="makespan_balanced"
-            ),
+            _spec(), settings=ExecutionSettings(ranks=4, schedule="makespan_balanced")
         ).run()
 
     report = benchmark(run)
-    report_writer("sweep_backend_distributed", report.execution_table())
+    report_writer("sweep_packed_ranks", report.execution_table())
 
-    execution = report.execution
-    per_rank = execution["per_rank"]
+    per_rank = report.execution["per_rank"]
     assert sum(s["jobs"] for s in per_rank) == 8
     assert all(s["groups"] >= 1 for s in per_rank)
-    assert execution["comm"]["calls"]["sendrecv"] == 8  # 2 per group
-    # dispatch payloads (configs) are much smaller than results (observables):
-    # the sweep, like the paper's propagation, is compute-shipping, not data-shipping
-    assert sum(s["dispatch_bytes"] for s in per_rank) < sum(s["result_bytes"] for s in per_rank)
+    assert all(s["observed_seconds"] > 0 for s in per_rank)
 
-    serial = BatchRunner(_spec()).run()
-    assert report.to_json(exclude_timings=True) == serial.to_json(exclude_timings=True)
+    one_rank = BatchRunner(_spec()).run()
+    assert report.to_json(exclude_timings=True) == one_rank.to_json(exclude_timings=True)
 
 
 def test_scheduler_policies_rank_groups_consistently(benchmark, report_writer):
@@ -90,95 +81,76 @@ def test_scheduler_policies_rank_groups_consistently(benchmark, report_writer):
     )
 
 
-def test_backend_exports_are_identical(benchmark, report_writer):
-    """The deterministic report export is invariant across both backends."""
+def test_exports_are_identical_across_ranks(benchmark, report_writer):
+    """The deterministic report export is invariant across rank counts."""
 
     def run_all():
         return {
-            "serial": BatchRunner(_spec()).run(),
-            "distributed": BatchRunner(
-                _spec(), settings=ExecutionSettings(backend="distributed", ranks=4)
-            ).run(),
+            ranks: BatchRunner(_spec(), settings=ExecutionSettings(ranks=ranks)).run()
+            for ranks in (1, 4)
         }
 
     reports = benchmark(run_all)
-    exports = {name: r.to_json(exclude_timings=True) for name, r in reports.items()}
-    assert exports["serial"] == exports["distributed"]
+    exports = {ranks: r.to_json(exclude_timings=True) for ranks, r in reports.items()}
+    assert exports[1] == exports[4]
 
-    summary = json.loads(exports["serial"])
+    summary = json.loads(exports[1])
     report_writer(
-        "sweep_backend_equivalence",
+        "sweep_rank_equivalence",
         format_table(
-            ["backend", "jobs", "completed", "export bytes"],
-            [[name, summary["n_jobs"], summary["n_completed"], len(text)] for name, text in exports.items()],
+            ["ranks", "jobs", "completed", "export bytes"],
+            [[ranks, summary["n_jobs"], summary["n_completed"], len(text)] for ranks, text in exports.items()],
         ),
     )
 
 
-def _makespan_row(report, backend: str, policy: str, ranks: int | None,
-                  elapsed_s: float) -> dict:
-    """One ``BENCH_sweep.json`` row: predicted vs observed makespan of a run.
-
-    Distributed runs reduce the per-rank accounting via
-    :func:`repro.cost.sweep_execution_point` (the busiest modeled rank).
-    Serial runs execute one group after another, so they predict the sum of
-    the groups' predicted seconds and report the measured elapsed wall time.
-    """
-    execution = report.execution
-    if execution.get("per_rank"):
-        point = sweep_execution_point(execution)
-        predicted, observed = point["predicted_makespan_s"], point["observed_makespan_s"]
-    else:
-        predicted = sum(g.get("predicted_seconds") or 0.0 for g in execution.get("groups", []))
-        observed = float(elapsed_s)
+def _makespan_row(report, policy: str, ranks: int) -> dict:
+    """One ``BENCH_sweep.json`` row: predicted vs observed makespan of a run,
+    reduced from the per-rank accounting by
+    :func:`repro.cost.sweep_execution_point` (the busiest rank)."""
+    point = sweep_execution_point(report.execution)
     return {
-        "backend": backend,
         "policy": policy,
         "ranks": ranks,
-        "predicted_makespan_s": predicted,
-        "observed_makespan_s": observed,
+        "predicted_makespan_s": point["predicted_makespan_s"],
+        "observed_makespan_s": point["observed_makespan_s"],
     }
 
 
 def test_bench_sweep_artifact(benchmark, results_dir, report_writer):
     """Emit the ``BENCH_sweep.json`` perf artifact (uploaded by CI).
 
-    Schema: ``{"schema": "bench_sweep/1", "rows": [{backend, policy, ranks,
+    Schema: ``{"schema": "bench_sweep/2", "rows": [{policy, ranks,
     predicted_makespan_s, observed_makespan_s}, ...]}`` — the
-    backend-x-policy makespan matrix that seeds the performance trajectory.
+    ranks-x-policy makespan matrix that seeds the performance trajectory.
     """
     matrix = [
-        ("serial", "fifo", None),
-        ("distributed", "makespan_balanced", 4),
-        ("distributed", "energy_aware", 4),
+        ("fifo", 1),
+        ("makespan_balanced", 4),
+        ("energy_aware", 4),
     ]
 
     def run_all():
         rows = []
-        for backend, policy, ranks in matrix:
-            settings = {"backend": backend, "schedule": policy}
-            if ranks is not None:
-                settings["ranks"] = ranks
-            start = time.perf_counter()
-            report = BatchRunner(_spec(), settings=ExecutionSettings(**settings)).run()
-            elapsed = time.perf_counter() - start
-            rows.append(_makespan_row(report, backend, policy, ranks, elapsed))
+        for policy, ranks in matrix:
+            settings = ExecutionSettings(ranks=ranks, schedule=policy)
+            report = BatchRunner(_spec(), settings=settings).run()
+            rows.append(_makespan_row(report, policy, ranks))
         return rows
 
     rows = benchmark(run_all)
 
-    artifact = {"schema": "bench_sweep/1", "rows": rows}
+    artifact = {"schema": "bench_sweep/2", "rows": rows}
     path = results_dir / "BENCH_sweep.json"
     path.write_text(json.dumps(artifact, indent=2) + "\n")
     print(f"\n[BENCH_sweep] wrote {path}")
 
     report_writer(
-        "sweep_backend_makespans",
+        "sweep_rank_makespans",
         format_table(
-            ["backend", "policy", "ranks", "predicted makespan [s]", "observed makespan [s]"],
+            ["policy", "ranks", "predicted makespan [s]", "observed makespan [s]"],
             [
-                [r["backend"], r["policy"], r["ranks"] or "-",
-                 r["predicted_makespan_s"], r["observed_makespan_s"]]
+                [r["policy"], r["ranks"], r["predicted_makespan_s"], r["observed_makespan_s"]]
                 for r in rows
             ],
         ),
@@ -186,9 +158,9 @@ def test_bench_sweep_artifact(benchmark, results_dir, report_writer):
 
     assert all(r["predicted_makespan_s"] > 0 for r in rows)
     assert all(r["observed_makespan_s"] > 0 for r in rows)
-    # balancing over 4 ranks must beat the serial whole-sweep makespan
-    by_key = {(r["backend"], r["policy"]): r for r in rows}
+    # balancing over 4 ranks must beat the 1-rank whole-sweep makespan
+    by_key = {(r["policy"], r["ranks"]): r for r in rows}
     assert (
-        by_key[("distributed", "makespan_balanced")]["predicted_makespan_s"]
-        < by_key[("serial", "fifo")]["predicted_makespan_s"]
+        by_key[("makespan_balanced", 4)]["predicted_makespan_s"]
+        < by_key[("fifo", 1)]["predicted_makespan_s"]
     )

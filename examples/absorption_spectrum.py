@@ -13,15 +13,15 @@ Two modes:
   converged ground state automatically), spectrum printed as a bar chart.
 * ``--sweep`` — the paper-style *campaign*: the same delta-kick config swept
   across supercell sizes (hydrogen chains of growing length) through
-  ``repro.batch``, each size one ground-state group, dispatchable over any
-  ``repro.exec`` backend. ``SweepReport.spectrum_table()`` aggregates the
-  per-size spectra; with a non-serial backend the machine-aware placement
-  and predicted wall/energy costs are printed too.
+  ``repro.batch``, each size one ground-state group, packed onto ``--ranks``
+  virtual ranks. ``SweepReport.spectrum_table()`` aggregates the per-size
+  spectra, and the per-rank predicted vs observed wall and energy costs are
+  printed too.
 
 Usage:
     python examples/absorption_spectrum.py
     python examples/absorption_spectrum.py --sweep
-    python examples/absorption_spectrum.py --sweep --backend distributed --ranks 3
+    python examples/absorption_spectrum.py --sweep --ranks 3
     python examples/absorption_spectrum.py --sweep --smoke     # CI-sized
 """
 
@@ -97,7 +97,7 @@ def single() -> int:
     return 0
 
 
-def sweep(backend: str, ranks: int, schedule: str | None, smoke: bool) -> int:
+def sweep(ranks: int, schedule: str | None, smoke: bool) -> int:
     """Delta-kick sweep across supercell sizes → per-size spectra."""
     sizes = [2, 4] if smoke else [2, 4, 6]
     base = dict(SWEEP_BASE)
@@ -109,11 +109,9 @@ def sweep(backend: str, ranks: int, schedule: str | None, smoke: bool) -> int:
     )
     runner = BatchRunner(
         spec,
-        settings=ExecutionSettings.from_config(
-            spec.base, backend=backend, ranks=ranks, schedule=schedule
-        ),
+        settings=ExecutionSettings.from_config(spec.base, ranks=ranks, schedule=schedule),
     )
-    print(f"Absorption sweep: chains of {sizes} atoms, backend={runner.settings.backend} "
+    print(f"Absorption sweep: chains of {sizes} atoms, ranks={runner.settings.ranks} "
           f"(schedule: {runner.settings.schedule})")
     report = runner.run()
 
@@ -125,9 +123,8 @@ def sweep(backend: str, ranks: int, schedule: str | None, smoke: bool) -> int:
 
     print("\nAbsorption-spectrum sweep view (strongest feature per size):\n")
     print(report.spectrum_table(damping=0.01, max_energy=1.5))
-    if backend != "serial":
-        print("\nExecution placement / predicted wall and energy costs:\n")
-        print(report.scaling_table())
+    print("\nPer-rank predicted vs observed wall and energy costs:\n")
+    print(report.execution_table())
     if smoke:
         spectra = report.spectra(max_energy=1.5)
         if len(spectra) != len(sizes):
@@ -141,13 +138,7 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sweep", action="store_true", help="sweep chain sizes instead of one H2 run")
     parser.add_argument("--smoke", action="store_true", help="CI-sized sweep (implies --sweep)")
-    parser.add_argument(
-        "--backend",
-        choices=["serial", "distributed"],
-        default="serial",
-        help="execution backend for the sweep (see repro.exec)",
-    )
-    parser.add_argument("--ranks", type=int, default=3, help="simulated MPI ranks (distributed backend)")
+    parser.add_argument("--ranks", type=int, default=1, help="virtual ranks the sweep's groups are packed onto")
     parser.add_argument(
         "--schedule",
         choices=["fifo", "cheapest_first", "makespan_balanced", "energy_aware"],
@@ -156,5 +147,5 @@ if __name__ == "__main__":
     )
     args = parser.parse_args()
     if args.sweep or args.smoke:
-        sys.exit(sweep(args.backend, args.ranks, args.schedule, args.smoke))
+        sys.exit(sweep(args.ranks, args.schedule, args.smoke))
     sys.exit(single())

@@ -9,21 +9,20 @@ the four propagations, and the report renders the cost table (Fig. 6), the
 propagator-x-dt Fock-application pivot, and the dt-vs-accuracy table against
 the smallest-step run.
 
-Execution is pluggable (``repro.exec``): ``--backend distributed`` dispatches
-the ground-state groups over simulated MPI ranks and prints the per-rank
-communication volume, ``--schedule`` picks the cost-aware ordering policy.
+Execution settings come from ``repro.exec``: ``--ranks N`` packs the
+ground-state groups onto N virtual ranks and prints the per-rank predicted vs
+observed seconds, ``--schedule`` picks the cost-aware ordering policy.
 With ``--budget SECONDS`` the execution settings are not hand-picked at all:
 the :class:`repro.campaign.CampaignPlanner` inverts the cost model and
 chooses machine/ranks/GPUs/schedule for the stated wall-clock budget.
 
 Usage:
     python examples/dt_sweep.py                          # the full comparison
-    python examples/dt_sweep.py --backend distributed --ranks 4 \\
-                                --schedule makespan_balanced
+    python examples/dt_sweep.py --ranks 4 --schedule makespan_balanced
     python examples/dt_sweep.py --budget 3600            # planner picks the settings
-    python examples/dt_sweep.py --smoke                  # CI smoke (serial, store resume)
-    python examples/dt_sweep.py --smoke --backend distributed --ranks 4
-                                                         # CI distributed smoke
+    python examples/dt_sweep.py --smoke                  # CI smoke (1 rank, store resume)
+    python examples/dt_sweep.py --smoke --ranks 4 --schedule makespan_balanced
+                                                         # CI packed-sweep smoke
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ WINDOW_AXES = {
 }
 
 
-def main(backend: str, ranks: int, schedule: str | None, budget: float | None = None) -> int:
+def main(ranks: int, schedule: str | None, budget: float | None = None) -> int:
     spec = SweepSpec(SimulationConfig.from_dict(BASE), WINDOW_AXES)
     if budget is not None:
         # inverse mode: state a wall-clock budget, let the campaign planner
@@ -86,18 +85,14 @@ def main(backend: str, ranks: int, schedule: str | None, budget: float | None = 
         print(f"Planned for a {budget:g} s wall budget:\n")
         print(execution_plan.plan_table())
         runner = BatchRunner.from_plan(execution_plan)
-        backend = runner.settings.backend
     else:
         runner = BatchRunner(
             spec,
-            settings=ExecutionSettings.from_config(
-                spec.base, backend=backend, ranks=ranks, schedule=schedule
-            ),
+            settings=ExecutionSettings.from_config(spec.base, ranks=ranks, schedule=schedule),
         )
     print(f"Sweep: {spec.n_jobs} jobs over axes {spec.axis_paths}")
-    print(f"Backend: {runner.settings.backend} (schedule: {runner.settings.schedule})")
-    if backend == "serial":
-        print(f"Shared ground states to converge: {runner.prepare_ground_states()}")
+    print(f"Ranks: {runner.settings.ranks} (schedule: {runner.settings.schedule})")
+    print(f"Shared ground states to converge: {runner.prepare_ground_states()}")
     print()
 
     # at production cutoffs RK4 overflows at large steps; keep that quiet and
@@ -112,9 +107,8 @@ def main(backend: str, ranks: int, schedule: str | None, budget: float | None = 
     print(report.pivot("hamiltonian_applications"))
     print("\nAccuracy vs the smallest-step run:\n")
     print(report.accuracy_table())
-    if backend != "serial":
-        print("\nExecution placement / communication:\n")
-        print(report.execution_table())
+    print("\nPer-rank predicted vs observed seconds:\n")
+    print(report.execution_table())
 
     by_point = {
         (r.summary["propagator"], r.summary["time_step_as"]): r.summary for r in report.completed
@@ -129,10 +123,10 @@ def main(backend: str, ranks: int, schedule: str | None, budget: float | None = 
     return 0
 
 
-def smoke(backend: str, ranks: int, schedule: str | None) -> int:
-    """Tiny sweep + store resume through the chosen backend; exits
-    nonzero on any failure. With a non-serial backend the deterministic
-    report export is additionally checked against the serial reference."""
+def smoke(ranks: int, schedule: str | None) -> int:
+    """Tiny sweep + store resume packed onto ``ranks`` virtual ranks; exits
+    nonzero on any failure. The deterministic report export is checked
+    against the 1-rank reference."""
     base = SimulationConfig.from_dict(
         {
             "system": {"structure": "hydrogen_molecule", "params": {"box": 8.0, "bond_length": 1.4}},
@@ -145,7 +139,7 @@ def smoke(backend: str, ranks: int, schedule: str | None) -> int:
     # exercise scheduling and to give every one of 4 simulated ranks a group
     spec = SweepSpec(base, {"basis.ecut": [1.5, 1.7, 2.0, 2.2], "run.time_step_as": [1.0, 2.0]})
     n_jobs = spec.n_jobs
-    settings = ExecutionSettings.from_config(base, backend=backend, ranks=ranks, schedule=schedule)
+    settings = ExecutionSettings.from_config(base, ranks=ranks, schedule=schedule)
     with tempfile.TemporaryDirectory() as tmpdir:
         runner = BatchRunner(spec, store=ResultStore(tmpdir), settings=settings)
         report = runner.run()
@@ -157,19 +151,17 @@ def smoke(backend: str, ranks: int, schedule: str | None) -> int:
         if [r.status for r in resumed] != ["cached"] * n_jobs:
             print("smoke FAILED: resume did not load the stored results", file=sys.stderr)
             return 1
-        if backend != "serial":
-            print(report.execution_table())
-            print(report.scaling_table())
-            serial = BatchRunner(spec).run()
-            if report.to_json(exclude_timings=True) != serial.to_json(exclude_timings=True):
-                print(
-                    f"smoke FAILED: {backend} report export differs from serial",
-                    file=sys.stderr,
-                )
-                return 1
-            print(f"smoke ok: {backend} export is bit-identical to the serial backend")
+        print(report.execution_table())
+        reference = BatchRunner(spec).run()
+        if report.to_json(exclude_timings=True) != reference.to_json(exclude_timings=True):
+            print(
+                f"smoke FAILED: the {ranks}-rank report export differs from the 1-rank one",
+                file=sys.stderr,
+            )
+            return 1
+        print(f"smoke ok: the {ranks}-rank export is bit-identical to a fresh 1-rank run")
     print(
-        f"smoke ok: {n_jobs} jobs completed on the {backend} backend, "
+        f"smoke ok: {n_jobs} jobs completed on {ranks} rank(s), "
         "resume served all of them from the store"
     )
     return 0
@@ -178,13 +170,7 @@ def smoke(backend: str, ranks: int, schedule: str | None) -> int:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true", help="run the tiny CI smoke sweep")
-    parser.add_argument(
-        "--backend",
-        choices=["serial", "distributed"],
-        default="serial",
-        help="execution backend (see repro.exec)",
-    )
-    parser.add_argument("--ranks", type=int, default=4, help="simulated MPI ranks (distributed backend)")
+    parser.add_argument("--ranks", type=int, default=1, help="virtual ranks the groups are packed onto")
     parser.add_argument(
         "--schedule",
         choices=["fifo", "cheapest_first", "makespan_balanced", "energy_aware"],
@@ -196,9 +182,9 @@ if __name__ == "__main__":
         type=float,
         default=None,
         help="wall-clock budget in modeled seconds: the campaign planner picks "
-        "the settings instead of --backend/--ranks/--schedule (full mode only)",
+        "the settings instead of --ranks/--schedule (full mode only)",
     )
     args = parser.parse_args()
     if args.smoke:
-        sys.exit(smoke(args.backend, args.ranks, args.schedule))
-    sys.exit(main(args.backend, args.ranks, args.schedule, args.budget))
+        sys.exit(smoke(args.ranks, args.schedule))
+    sys.exit(main(args.ranks, args.schedule, args.budget))

@@ -32,14 +32,13 @@ The package is organised in layers:
   tables in one call.
 * :mod:`repro.exec` — the execution layer under the sweep engine: a
   machine-aware :class:`~repro.exec.Scheduler` (``repro.cost`` wall-clock /
-  energy predictions) and the in-process group executor, serial
-  (:class:`~repro.exec.SerialBackend`) or placed onto simulated MPI ranks with
-  per-rank communication accounting (:class:`~repro.exec.DistributedBackend`).
+  energy predictions) packing groups onto ``ranks`` virtual ranks, and the
+  in-process group executor (:class:`~repro.exec.SerialBackend`) with its
+  model-only per-rank predicted-vs-observed accounting.
 * :mod:`repro.cost` — the machine-aware cost stack joining ``repro.perf``
   workload predictions with the ``repro.machine`` hardware model: FLOPs →
   seconds through GPU throughput, transfer bytes → seconds through
-  NVLink/X-Bus/InfiniBand link speeds (:class:`~repro.cost.NodePlacement`),
-  occupied nodes → watts and joules.
+  NVLink/X-Bus/InfiniBand link speeds, occupied nodes → watts and joules.
 * :mod:`repro.campaign` — budget-driven campaigns on top of everything:
   a :class:`~repro.campaign.CampaignSpec` names sweeps and states a
   :class:`~repro.campaign.Budget`, a :class:`~repro.campaign.CampaignPlanner`

@@ -150,7 +150,7 @@ class Session:
     def adopt_ground_state(self, result: GroundStateResult) -> None:
         """Inject a precomputed ground state instead of converging one.
 
-        This is the session-reuse hook the execution backends rely on: a
+        This is the session-reuse hook the group executor relies on: a
         stored SCF (:meth:`~repro.pw.ground_state.GroundStateResult.save_npz`
         round-tripped through a :class:`~repro.store.ResultStore`) is
         adopted bit-for-bit, so a propagation from it is identical to one from

@@ -151,16 +151,16 @@ class SweepReport:
     axes:
         The sweep's axis paths, used as the leading table columns.
     execution:
-        The executing backend's placement/communication summary (see
+        The executor's packing summary with its per-rank accounting (see
         :meth:`repro.exec.SerialBackend.execution_summary`). Rendered by
         :meth:`execution_table`; **not** part of :meth:`to_dict`, so the
-        physics export of a sweep is identical across backends.
+        physics export of a sweep is identical at any rank count.
     settings:
         The :meth:`repro.exec.ExecutionSettings.as_dict` record the sweep ran
-        under (machine preset, schedule policy, backend, ranks). Exported by
+        under (machine preset, schedule policy, ranks). Exported by
         :meth:`to_dict` so a report on disk says how it was produced —
         *except* under ``exclude_timings``, which stays pure deterministic
-        physics (bit-identical across backends and settings).
+        physics (bit-identical at any rank count and settings).
     """
 
     def __init__(
@@ -220,9 +220,9 @@ class SweepReport:
         and cache provenance is normalised (``"cached"`` reads as
         ``"completed"`` — whether a job was recomputed or served by a store
         is execution history, not physics), leaving only deterministic
-        physics: that export is bit-identical across execution backends,
-        across reruns, and across cold/warm stores, which is how the
-        backend-equivalence and incremental-campaign tests compare runs.
+        physics: that export is bit-identical at any rank count, across
+        reruns, and across cold/warm stores, which is how the
+        packing-equivalence and incremental-campaign tests compare runs.
         """
         jobs = [r.to_dict() for r in self.results]
         if exclude_timings:
@@ -246,9 +246,9 @@ class SweepReport:
             # the deterministic physics export must not depend on the store
             data["n_cached"] = self.n_cached
         if self.settings is not None and not exclude_timings:
-            # how the sweep was produced (machine preset, schedule, backend);
+            # how the sweep was produced (machine preset, schedule, ranks);
             # left out of the deterministic physics export, which must stay
-            # bit-identical across backends and settings
+            # bit-identical across settings
             data["settings"] = copy.deepcopy(self.settings)
         return data
 
@@ -261,9 +261,9 @@ class SweepReport:
         """JSON text of :meth:`to_dict` (numpy axis values coerced).
 
         The default export contains the physics only; with ``exclude_timings``
-        it is bit-identical across execution backends.
-        ``include_execution=True`` appends the backend's placement /
-        communication summary under an ``"execution"`` key.
+        it is bit-identical at any rank count.
+        ``include_execution=True`` appends the executor's packing / per-rank
+        summary under an ``"execution"`` key.
         """
         data = self.to_dict(exclude_timings=exclude_timings)
         if include_execution:
@@ -303,96 +303,52 @@ class SweepReport:
         return cls.from_dict(json.loads(text))
 
     # ------------------------------------------------------------------
-    # Execution placement / communication accounting
+    # Per-rank execution accounting
     # ------------------------------------------------------------------
     def execution_table(self) -> str:
-        """Per-rank placement and communication accounting of the backend.
+        """Predicted vs observed wall time and energy, per virtual rank.
 
-        Meaningful for the distributed backend (one row per simulated rank:
-        node placement, the modeled link to the root rank, groups, jobs,
-        predicted seconds, dispatch/result bytes and their predicted wall
-        cost); other backends produce a one-line summary.
+        The sweep-level analogue of the paper's Fig. 7/8 scaling tables: each
+        row is one rank of the packing with its groups and jobs, its predicted
+        seconds on the modeled machine slice (from
+        :class:`repro.cost.MachineCostModel`), the wall time its groups
+        actually took in-process, and the predicted energy of its
+        node-seconds. The footer reduces the table to the scaling-curve point
+        the ``bench_fig7/8`` benchmarks consume
+        (:func:`repro.cost.sweep_execution_point`): the predicted and
+        observed makespan. A summary without per-rank rows renders as one
+        line.
         """
         info = self.execution
         if not info:
             return "(no execution summary recorded)"
-        per_rank = info.get("per_rank")
-        if not per_rank:
+        if not info.get("per_rank"):
             return (
                 f"backend={info.get('backend', '?')} "
                 f"schedule={info.get('schedule', '?')} "
                 f"groups={info.get('n_groups', '?')} jobs={info.get('n_jobs', '?')}"
             )
-        headers = [
-            "rank", "node", "link", "groups", "jobs",
-            "predicted [s]", "dispatch [B]", "result [B]", "comm [s]",
-        ]
-        rows = [
-            [
-                stats.get("rank", "-"),
-                stats.get("node", "-"),
-                stats.get("link", "-"),
-                stats.get("groups", 0),
-                stats.get("jobs", 0),
-                stats.get("predicted_seconds", stats.get("predicted_cost", 0.0)),
-                stats.get("dispatch_bytes", 0),
-                stats.get("result_bytes", 0),
-                stats.get("comm_seconds", 0.0),
-            ]
-            for stats in per_rank
-        ]
-        table = format_table(headers, rows)
-        comm = info.get("comm", {})
-        footer = (
-            f"backend={info.get('backend', '?')} schedule={info.get('schedule', '?')} "
-            f"ranks={info.get('ranks', len(per_rank))} "
-            f"total comm = {comm.get('total_bytes', 0)} B"
-        )
-        return f"{table}\n{footer}"
-
-    def scaling_table(self) -> str:
-        """Predicted vs observed wall time and energy, per simulated rank.
-
-        The sweep-level analogue of the paper's Fig. 7/8 scaling tables: each
-        row is one modeled rank with its node, the link its traffic crossed,
-        its predicted makespan share (seconds on the modeled machine slice,
-        from :class:`repro.cost.MachineCostModel`), the wall time its jobs
-        actually took in-process, the predicted transfer cost of its sweep
-        traffic, and the predicted energy of its node-seconds. The footer
-        reduces the table to the scaling-curve point the ``bench_fig7/8``
-        benchmarks consume (:func:`repro.cost.sweep_execution_point`).
-        """
-        per_rank = self.execution.get("per_rank")
-        if not per_rank:
-            return (
-                "(no per-rank execution accounting; run the sweep with "
-                "backend='distributed' to model placement and wall costs)"
-            )
         from ..cost import sweep_execution_point  # deferred: keeps report import light
 
-        headers = [
-            "rank", "node", "link", "jobs",
-            "predicted [s]", "observed [s]", "comm [s]", "energy [J]",
-        ]
+        headers = ["rank", "groups", "jobs", "predicted [s]", "observed [s]", "energy [J]"]
         rows = [
             [
                 stats.get("rank", "-"),
-                stats.get("node", "-"),
-                stats.get("link", "-"),
+                stats.get("groups", 0),
                 stats.get("jobs", 0),
                 stats.get("predicted_seconds", 0.0),
                 stats.get("observed_seconds", 0.0),
-                stats.get("comm_seconds", 0.0),
                 stats.get("predicted_energy_j", 0.0),
             ]
-            for stats in per_rank
+            for stats in info["per_rank"]
+            if isinstance(stats, dict)
         ]
-        point = sweep_execution_point(self.execution)
+        point = sweep_execution_point(info)
         footer = (
-            f"ranks={point['ranks']} predicted makespan = {point['predicted_makespan_s']:.3g} s "
+            f"schedule={info.get('schedule', '?')} ranks={point['ranks']} "
+            f"predicted makespan = {point['predicted_makespan_s']:.3g} s "
             f"(observed {point['observed_makespan_s']:.3g} s), "
-            f"predicted energy = {point['predicted_energy_j']:.3g} J, "
-            f"sweep traffic = {point['comm_bytes']} B in {point['comm_seconds']:.3g} s"
+            f"predicted energy = {point['predicted_energy_j']:.3g} J"
         )
         return f"{format_table(headers, rows)}\n{footer}"
 
@@ -437,7 +393,7 @@ class SweepReport:
         vs time step vs Fock-application count — plus the energy drift and
         wall time the accuracy discussion needs. ``include_wall=False`` drops
         the (run-to-run noisy) wall-clock column, making the table
-        deterministic across backends and reruns.
+        deterministic across rank counts and reruns.
         """
         headers = ["integrator", "time step [as]", "steps", "Fock applications", "energy drift [Ha]"]
         if include_wall:

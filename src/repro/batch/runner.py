@@ -1,11 +1,11 @@
-"""The sweep orchestrator: spec → scheduler → backend → report.
+"""The sweep orchestrator: spec → schedule → pack → execute → report.
 
 :class:`BatchRunner` executes the jobs of a :class:`~repro.batch.SweepSpec`
 and aggregates them into a :class:`~repro.batch.SweepReport`. Execution
 policy lives in :mod:`repro.exec`; the runner only wires the pieces:
 
-* **Settings.** Everything about *where and how* the sweep runs — backend,
-  virtual rank count, scheduling policy, machine preset, GPUs per group,
+* **Settings.** Everything about *where and how* the sweep runs — virtual
+  rank count, scheduling policy, machine preset, GPUs per group,
   batched stepping, precision — is one frozen
   :class:`~repro.exec.ExecutionSettings` value: an explicit ``settings=``
   object (e.g. from a :class:`~repro.campaign.CampaignPlanner` plan), else the
@@ -16,18 +16,18 @@ policy lives in :mod:`repro.exec`; the runner only wires the pieces:
   converges its SCF exactly once no matter how many propagations fan out.
   With a store the converged SCFs are persisted too, so a *resumed* sweep
   skips even the first group SCF.
-* **Scheduling.** A :class:`~repro.exec.Scheduler` orders (and, for the
-  distributed backend, packs) the groups by predicted wall seconds / joules —
-  :mod:`repro.perf.sweep_cost` workload predictions turned machine-aware by a
-  :class:`repro.cost.MachineCostModel` built from the settings — under
+* **Scheduling.** A :class:`~repro.exec.Scheduler` orders the groups and
+  packs them onto ``settings.ranks`` virtual ranks by predicted wall
+  seconds / joules — :mod:`repro.perf.sweep_cost` workload predictions
+  turned machine-aware by a :class:`repro.cost.MachineCostModel` built from
+  the settings — under
   ``fifo`` (default), ``cheapest_first``, ``makespan_balanced`` or
   ``energy_aware``.
-* **Backends.** Both run each group in-process through
+* **Execution.** Every group runs in-process through
   :meth:`~repro.exec.SerialBackend.run_group`, reusing the warm sessions of
-  :meth:`BatchRunner.prepare_ground_states`: ``"serial"`` as is,
-  ``"distributed"`` placed onto virtual ranks of the simulated MPI runtime
-  with per-rank dispatch/result communication volume logged into the
-  report's execution summary.
+  :meth:`BatchRunner.prepare_ground_states`, whatever the rank count; the
+  report's execution summary accounts each virtual rank's predicted and
+  observed seconds (the same record :func:`repro.service.run_sweep` emits).
 * **Persistence.** With a ``store`` (a :class:`~repro.store.ResultStore`),
   every completed job is persisted; a rerun of the same sweep loads finished
   jobs (status ``"cached"``) instead of recomputing them — resume-after-crash
@@ -43,8 +43,7 @@ policy lives in :mod:`repro.exec`; the runner only wires the pieces:
         SweepSpec(base, {"propagator.name": ["ptcn", "rk4"],
                          "run.time_step_as": [10.0, 50.0]}),
         store=ResultStore("sweep-store"),
-        settings=ExecutionSettings(backend="distributed", ranks=4,
-                                   schedule="makespan_balanced"),
+        settings=ExecutionSettings(ranks=4, schedule="makespan_balanced"),
     ).run()
     print(report.fig6_table())
     print(report.execution_table())
@@ -153,8 +152,8 @@ class BatchRunner:
         Groups whose SCF is already in the store adopt it instead of
         reconverging (and count as zero SCFs); freshly converged ones are
         persisted for future sweeps — the same ground-state sequence, in the
-        same helper, as :func:`~repro.exec.execute_group`. Both backends run
-        :meth:`run` through these warm sessions, so ``prepare_ground_states``
+        same helper, as :func:`~repro.exec.execute_group`. :meth:`run`
+        executes through these warm sessions, so ``prepare_ground_states``
         followed by :meth:`run` converges each group's SCF exactly once.
         """
         from ..exec.backends import _shared_ground_state  # deferred: repro.exec imports repro.batch
@@ -177,30 +176,20 @@ class BatchRunner:
         return count
 
     # ------------------------------------------------------------------
-    def _make_backend(self):
-        from ..exec import DistributedBackend, SerialBackend  # deferred, as above
+    def run(self) -> SweepReport:
+        """Schedule, pack onto ``settings.ranks`` and execute every job;
+        return the aggregated report."""
+        from ..exec.backends import SerialBackend, store_record  # deferred, as above
 
-        options = dict(
+        scheduled = self.scheduler.schedule(self.groups())
+        self.scheduler.pack(scheduled, self.settings.ranks)
+        backend = SerialBackend(
             sessions=self._sessions,
             store=self.store,
             raise_on_error=self.raise_on_error,
             batch_stepping=self.settings.batch_stepping,
             precision=self.settings.precision,
         )
-        if self.settings.backend == "distributed":
-            return DistributedBackend(
-                ranks=self.settings.ranks, placement=self.settings.placement(), **options
-            )
-        return SerialBackend(**options)
-
-    def run(self) -> SweepReport:
-        """Schedule and execute every job; return the aggregated report."""
-        from ..exec.backends import store_record  # deferred, as above
-
-        scheduled = self.scheduler.schedule(self.groups())
-        backend = self._make_backend()
-        if self.settings.backend == "distributed":
-            self.scheduler.pack(scheduled, backend.ranks)
         results = []
         for group in scheduled:
             results.extend(backend.run_group(group))

@@ -50,7 +50,7 @@ class Observation:
         observes ~0 seconds and is dropped by :attr:`ok`).
     predicted_seconds, observed_seconds:
         The pair a calibration consumes. Predicted is modeled-machine
-        seconds; observed is whatever clock the backend stamped (in-process
+        seconds; observed is whatever clock the executor stamped (in-process
         wall time here), so fits are *ratio*-based and unit-free.
     predicted_energy_j:
         Predicted energy of the group (provenance; energy re-prices through

@@ -37,6 +37,7 @@ import numpy as np
 
 from ..batch.sweep import group_jobs
 from ..cost.model import MACHINES, resolve_machine
+from ..exec.scheduler import rank_makespan
 from ..exec.settings import ExecutionSettings
 from .spec import Budget, CampaignSpec, InfeasibleBudgetError
 
@@ -59,7 +60,7 @@ class SweepPlan:
     predicted_wall_seconds:
         Predicted makespan on the modeled machine: the busiest virtual rank's
         total predicted seconds under the chosen policy's packing (every
-        group's seconds for a serial plan).
+        group's seconds for a 1-rank plan).
     predicted_energy_joules:
         Predicted energy to solution of all groups (whole-node watts x
         predicted seconds, summed — energy is additive however groups pack).
@@ -244,7 +245,7 @@ class ExecutionPlan:
         if self.calibration is not None and hasattr(self.calibration, "describe"):
             provenance = self.calibration.describe()
         footer = (
-            f"machine={s.machine} gpus_per_group={s.gpus_per_group} backend={s.backend} "
+            f"machine={s.machine} gpus_per_group={s.gpus_per_group} "
             f"ranks={s.ranks} schedule={s.schedule} | campaign totals: "
             f"wall {self.predicted_wall_seconds:.3g} s, "
             f"energy {self.predicted_energy_joules:.3g} J, nodes {self.predicted_nodes}"
@@ -264,9 +265,8 @@ class CampaignPlanner:
         Machine preset names to search (default: every
         :data:`repro.cost.MACHINES` preset, sorted — deterministic).
     rank_options:
-        Candidate virtual rank counts (default ``(1, 2, 4, 8)``); a rank
-        count of 1 plans the serial backend, larger counts the distributed
-        one.
+        Candidate virtual rank counts (default ``(1, 2, 4, 8)``) the sweeps'
+        groups are packed onto; a rank count of 1 plans one queue.
     gpus_per_group_options:
         Candidate ``gpus_per_group`` values; default ``(1, <node GPU count>)``
         per machine — one GPU per group, or a whole node per group.
@@ -341,7 +341,6 @@ class CampaignPlanner:
                     for policy in self.policies:
                         out.append(
                             ExecutionSettings(
-                                backend="serial" if ranks == 1 else "distributed",
                                 ranks=ranks,
                                 schedule=policy,
                                 machine=machine_name,
@@ -372,8 +371,8 @@ class CampaignPlanner:
                     "structure or disabled machine model?); campaigns need predictable "
                     "workloads"
                 )
-            bins = scheduler.pack(scheduled, settings.ranks)
-            wall = max(sum(g.predicted_seconds for g in rank_groups) for rank_groups in bins)
+            scheduler.pack(scheduled, settings.ranks)
+            wall = rank_makespan(scheduled, lambda g: g.predicted_seconds, settings.ranks)
             energy = sum(g.predicted_energy_j for g in scheduled)
             forecasts[name] = SweepPlan(
                 name=name,

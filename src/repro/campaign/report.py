@@ -17,27 +17,25 @@ import json
 from ..analysis import format_table
 from ..batch.report import SweepReport
 from ..core.dynamics import json_default
+from ..cost.model import sweep_execution_point
 from ..exec.backends import group_wall_seconds
 
 __all__ = ["CampaignReport"]
 
 
 def _observed_wall_seconds(report: SweepReport) -> float:
-    """The sweep's observed makespan: the busiest simulated rank's in-process
-    wall time when per-rank accounting exists, else the summed job wall
-    times (the serial backend runs one group after another).
+    """The sweep's observed makespan: the busiest virtual rank's in-process
+    wall time from the per-rank accounting — the same reduction the planner
+    predicts the sweep's wall with — else the summed job wall times.
 
-    Per-rank entries are tolerated missing or malformed — a crashed rank may
-    never have reported its stats dict — in which case the makespan degrades
+    Per-rank entries are tolerated missing or malformed (a report loaded
+    from an older or truncated export), in which case the makespan degrades
     to the summed-job rule instead of raising on a partial report.
     """
-    per_rank = [
-        stats for stats in (report.execution.get("per_rank") or [])
-        if isinstance(stats, dict)
-    ]
-    if per_rank:
-        return max(float(stats.get("observed_seconds") or 0.0) for stats in per_rank)
-    return group_wall_seconds(report.results)
+    try:
+        return sweep_execution_point(report.execution)["observed_makespan_s"]
+    except ValueError:
+        return group_wall_seconds(report.results)
 
 
 def _drift(predicted, observed) -> str:
@@ -209,7 +207,7 @@ class CampaignReport:
         else:
             provenance = "uncalibrated"
         footer = (
-            f"machine={settings.get('machine', '?')} backend={settings.get('backend', '?')} "
+            f"machine={settings.get('machine', '?')} "
             f"ranks={settings.get('ranks', '?')} schedule={settings.get('schedule', '?')} "
             f"gpus_per_group={settings.get('gpus_per_group', '?')} | "
             f"campaign predicted wall = {self.plan.get('predicted_wall_seconds', float('nan')):.3g} s, "

@@ -1,7 +1,7 @@
 """Precision tiers for propagation (production double vs screening single).
 
 The propagation engine runs in ``complex128`` by default — that is the tier
-all golden fixtures, store objects and cross-backend bit-identity guarantees
+all golden fixtures, store objects and rank-count-invariant bit-identity guarantees
 refer to. An opt-in ``complex64`` tier halves the memory traffic of the
 FFT-bound stepping hot path for *screening* sweeps, where one only needs to
 rank candidate (dt, propagator, laser) points before re-running the keepers

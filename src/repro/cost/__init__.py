@@ -4,9 +4,8 @@ The layer that makes :mod:`repro.machine` load-bearing for execution. It joins
 the relative-FLOP workload predictions of :mod:`repro.perf.sweep_cost` with
 the hardware model (GPU roofline throughput, NVLink / X-Bus / InfiniBand link
 speeds, whole-node power) so the sweep scheduler can pack ground-state groups
-by predicted *seconds*, the distributed backend can attribute every logged
-transfer to a modeled link with a wall cost, and reports can show predicted
-vs observed wall time and energy — the paper's Section 5/6 campaign-planning
+by predicted *seconds* and reports can show predicted vs observed wall time
+and energy per virtual rank — the paper's Section 5/6 campaign-planning
 arithmetic, applied to our own sweeps.
 """
 
@@ -19,7 +18,6 @@ from .model import (
     resolve_machine,
     sweep_execution_point,
 )
-from .placement import Link, NodePlacement
 
 __all__ = [
     "MACHINES",
@@ -29,6 +27,4 @@ __all__ = [
     "machine_name",
     "resolve_machine",
     "sweep_execution_point",
-    "Link",
-    "NodePlacement",
 ]

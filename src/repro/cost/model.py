@@ -10,7 +10,6 @@ the concrete V100/NVLink/EDR numbers of Section 5:
   FFT-dominated kernels (:class:`~repro.machine.gpu.GPUKernelModel`, ~11 % of
   peak per the paper's Section 7 analysis);
 * communication bytes become seconds through the link speeds of
-  :class:`~repro.cost.placement.NodePlacement` /
   :class:`~repro.machine.network.NetworkModel`;
 * occupied nodes become watts through :mod:`repro.machine.power`'s whole-node
   accounting (Section 6), so every predicted wall time carries a predicted
@@ -388,29 +387,29 @@ class CalibratedCostModel(MachineCostModel):
 def sweep_execution_point(execution: dict) -> dict:
     """Reduce one ``SweepReport.execution`` summary to a scaling-curve point.
 
-    Consumes the per-rank volumes and predicted/observed wall seconds the
-    distributed backend logs and returns the row the sweep-level strong/weak
-    scaling benchmarks (``bench_fig7/8``) plot: rank count, predicted and
-    observed makespan (the busiest rank), total communication volume and
-    predicted communication seconds, and total predicted energy.
+    Consumes the model-only ``per_rank`` rows every sweep execution records
+    (:meth:`repro.exec.SerialBackend.execution_summary`) and returns the row
+    the sweep-level strong/weak scaling benchmarks (``bench_fig7/8``) plot:
+    rank count, predicted and observed makespan (the busiest rank, see
+    :func:`repro.exec.scheduler.rank_makespan`) and total predicted energy.
+    Rows that are not dicts are skipped; a summary without any raises.
     """
-    per_rank = execution.get("per_rank") or []
+    from ..exec.scheduler import rank_makespan  # deferred: the scheduler imports this module
+
+    per_rank = [row for row in execution.get("per_rank") or [] if isinstance(row, dict)]
     if not per_rank:
-        raise ValueError("execution summary carries no per-rank accounting (distributed backend only)")
+        raise ValueError("execution summary carries no per-rank accounting")
 
-    def rank_max(key: str) -> float:
-        return max(float(stats.get(key) or 0.0) for stats in per_rank)
-
-    def rank_sum(key: str) -> float:
-        return sum(float(stats.get(key) or 0.0) for stats in per_rank)
+    def busiest(key: str) -> float:
+        return rank_makespan(
+            per_rank, lambda row: row.get(key), len(per_rank), rank_of=lambda row: row.get("rank")
+        )
 
     return {
         "ranks": int(execution.get("ranks", len(per_rank))),
         "n_groups": int(execution.get("n_groups", 0)),
         "n_jobs": int(execution.get("n_jobs", 0)),
-        "predicted_makespan_s": rank_max("predicted_seconds"),
-        "observed_makespan_s": rank_max("observed_seconds"),
-        "predicted_energy_j": rank_sum("predicted_energy_j"),
-        "comm_bytes": int(rank_sum("dispatch_bytes") + rank_sum("result_bytes")),
-        "comm_seconds": rank_sum("comm_seconds"),
+        "predicted_makespan_s": busiest("predicted_seconds"),
+        "observed_makespan_s": busiest("observed_seconds"),
+        "predicted_energy_j": sum(float(row.get("predicted_energy_j") or 0.0) for row in per_rank),
     }

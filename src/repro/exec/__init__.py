@@ -1,4 +1,4 @@
-"""Execution layer for config sweeps: scheduler + in-process backends.
+"""Execution layer for config sweeps: scheduler + in-process group executor.
 
 The paper's headline is dispatching PT-CN rt-TDDFT across thousands of Summit
 GPUs under a communication cost model; this package is the sweep-level
@@ -10,33 +10,28 @@ analogue. It separates *what* a sweep computes (:mod:`repro.batch`) from
   the :class:`repro.cost.MachineCostModel` machine model (``fifo`` /
   ``cheapest_first`` / ``makespan_balanced`` / ``energy_aware``, selectable
   via ``run.schedule`` in :class:`~repro.api.SimulationConfig`);
-* a backend runs them, in-process, one group at a time through
-  :func:`execute_group` — :class:`SerialBackend` as is, and
-  :class:`DistributedBackend` placed onto the virtual ranks of the simulated
-  MPI runtime (:class:`~repro.parallel.SimCommunicator`), with
-  dispatch/result communication volume logged per rank and every transfer
-  attributed to a modeled Summit link (NVLink / X-Bus / InfiniBand) by a
-  :class:`repro.cost.NodePlacement`.
+* :class:`SerialBackend` runs them, in-process, one group at a time through
+  :func:`execute_group`, and reports a model-only ``per_rank`` account of the
+  packing (predicted vs observed seconds per virtual rank) — the rank count
+  is ``ExecutionSettings.ranks`` and never changes the physics.
 
 :class:`~repro.batch.BatchRunner` is the thin orchestrator on top:
-spec → scheduler → backend → report. Everything the runner needs to know
+spec → schedule → pack → execute → report. Everything the runner needs to know
 about *where and how* to run is one frozen, JSON-round-trippable
 :class:`ExecutionSettings` value — the object a
 :class:`~repro.campaign.CampaignPlanner` emits for a machine budget and
 ``BatchRunner(spec, settings=...)`` consumes.
 """
 
-from .settings import BACKEND_NAMES, ExecutionSettings  # noqa: I001  (first: no batch deps)
-from .backends import DistributedBackend, SerialBackend, execute_group
+from .settings import ExecutionSettings  # noqa: I001  (first: no batch deps)
+from .backends import SerialBackend, execute_group
 from .scheduler import SCHEDULE_POLICIES, ScheduledGroup, Scheduler
 
 __all__ = [
-    "BACKEND_NAMES",
     "ExecutionSettings",
     "SCHEDULE_POLICIES",
     "ScheduledGroup",
     "Scheduler",
     "SerialBackend",
-    "DistributedBackend",
     "execute_group",
 ]

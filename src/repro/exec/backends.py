@@ -1,4 +1,4 @@
-"""Execution backends: where and how the groups of a sweep actually run.
+"""The group executor: how the packed groups of a sweep actually run.
 
 :func:`execute_group` runs one ground-state group in-process; it is the one
 group executor every path goes through. :class:`SerialBackend` wraps it: its
@@ -9,24 +9,15 @@ over — it runs a scheduled group (through the runner's warm session from
 ``observed_seconds`` and records the group for
 :meth:`~SerialBackend.execution_summary`.
 
-:class:`DistributedBackend` is the same in-process executor placed onto the
-virtual ranks of a :class:`~repro.parallel.SimCommunicator`. Group dispatch
-and result collection really move serialized payloads through the
-communicator's point-to-point channel, so the per-rank communication volume
-of a sweep is logged the same way the distributed kernels log theirs — and a
-:class:`~repro.cost.NodePlacement` maps ranks onto modeled Summit nodes so
-every transfer is attributed to NVLink, X-Bus or InfiniBand with a predicted
-wall cost; the ``bench_fig7/8``-style scaling analyses extend to sweep
-traffic.
-
-Both backends run whole groups, so the one-SCF-per-group property survives
-any placement, and both share the store and ground-state sharing machinery
-of :func:`execute_group`.
+Both callers first pack the groups onto ``ExecutionSettings.ranks`` virtual
+ranks (:meth:`repro.exec.Scheduler.pack`). The ranks are a model: groups
+still run one after another in this process, so the physics export is
+bit-identical at any rank count, and the summary's ``per_rank`` rows account
+each rank's predicted and observed seconds from the groups it was given.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from contextlib import contextmanager
 
@@ -34,15 +25,11 @@ import numpy as np
 
 from ..api.session import Session
 from ..batch.report import JobResult
-from ..core.dynamics import json_default
 from ..core.precision import resolve_precision
-from ..cost.placement import NodePlacement
-from ..parallel.comm import SimCommunicator
-from .scheduler import ScheduledGroup
+from .scheduler import ScheduledGroup, rank_loads
 
 __all__ = [
     "SerialBackend",
-    "DistributedBackend",
     "execute_group",
     "group_record",
     "group_wall_seconds",
@@ -225,8 +212,19 @@ def store_record(store, results) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The backends
+# The executor
 # ---------------------------------------------------------------------------
+
+#: the ``per_rank`` columns of :meth:`SerialBackend.execution_summary`, each
+#: summed over the groups packed onto a rank
+_RANK_COLUMNS = {
+    "groups": lambda g: 1,
+    "jobs": lambda g: g.n_jobs,
+    "predicted_cost": lambda g: g.predicted_cost,
+    "predicted_seconds": lambda g: g.predicted_seconds,
+    "predicted_energy_j": lambda g: g.predicted_energy_j,
+    "observed_seconds": lambda g: g.observed_seconds,
+}
 
 
 class SerialBackend:
@@ -251,9 +249,6 @@ class SerialBackend:
         see :mod:`repro.core.precision`).
     """
 
-    #: registry name of the backend (the ``ExecutionSettings(backend=...)`` string)
-    name = "serial"
-
     def __init__(self, *, sessions: dict | None = None, store=None,
                  raise_on_error: bool = False, batch_stepping: bool = False,
                  precision: str = "complex128"):
@@ -265,17 +260,6 @@ class SerialBackend:
         self.groups: list[ScheduledGroup] = []
 
     # ------------------------------------------------------------------
-    def _execute(self, group: ScheduledGroup) -> list[JobResult]:
-        """Run one group's jobs through :func:`execute_group`."""
-        return execute_group(
-            group.jobs,
-            session=self.sessions.get(group.key),
-            store=self.store,
-            raise_on_error=self.raise_on_error,
-            batch_stepping=self.batch_stepping,
-            precision=self.precision,
-        )
-
     def run_group(self, group: ScheduledGroup) -> list[JobResult]:
         """Execute one scheduled group now and return its job results.
 
@@ -284,160 +268,41 @@ class SerialBackend:
         the campaign service interleaves its leases and preemption between
         calls.
         """
-        results = self._execute(group)
+        results = execute_group(
+            group.jobs,
+            session=self.sessions.get(group.key),
+            store=self.store,
+            raise_on_error=self.raise_on_error,
+            batch_stepping=self.batch_stepping,
+            precision=self.precision,
+        )
         group.observed_seconds = group_wall_seconds(results)
         self.groups.append(group)
         return results
 
     def execution_summary(self) -> dict:
-        """How the executed groups were placed, JSON-serializable."""
+        """How the executed groups were packed, JSON-serializable.
+
+        ``ranks`` spans the highest rank any recorded group was packed onto
+        (an unpacked group counts as rank 0); ``per_rank`` has one model-only
+        row per rank with its groups, jobs, predicted cost/seconds/joules and
+        observed seconds summed over the groups it was given.
+        """
+        ranks = 1 + max((g.rank for g in self.groups if g.rank is not None), default=0)
+        loads = {
+            name: rank_loads(self.groups, value_of, ranks)
+            for name, value_of in _RANK_COLUMNS.items()
+        }
+        per_rank = []
+        for rank in range(ranks):
+            row = {"rank": rank, **{name: loads[name][rank] for name in _RANK_COLUMNS}}
+            row["groups"], row["jobs"] = int(row["groups"]), int(row["jobs"])
+            per_rank.append(row)
         return {
-            "backend": self.name,
+            "backend": "serial",  # the campaign service stamps "service" over it
             "n_groups": len(self.groups),
             "n_jobs": sum(g.n_jobs for g in self.groups),
+            "ranks": ranks,
             "groups": [group_record(g) for g in self.groups],
+            "per_rank": per_rank,
         }
-
-
-class DistributedBackend(SerialBackend):
-    """Execution over the virtual ranks of a simulated MPI communicator.
-
-    Groups are placed onto ranks by the scheduler (least-loaded packing,
-    weighted by predicted seconds/joules for the machine-aware policies);
-    dispatch and result traffic really flow through
-    :meth:`~repro.parallel.SimCommunicator.sendrecv` as serialized payloads,
-    so ``comm.stats`` / the per-rank accounting of :meth:`execution_summary`
-    measure a sweep the way the distributed kernels measure an SCF. A
-    :class:`~repro.cost.NodePlacement` maps the virtual ranks onto modeled
-    Summit nodes (6 ranks per node, 3 per socket), so every transfer is
-    additionally attributed to the wire it crosses — NVLink within a socket,
-    X-Bus across sockets, InfiniBand across nodes — with a predicted wall
-    cost. Groups run in-process (through the runner's warm sessions like
-    the serial backend) and results come back in dict form (observables
-    only) — the report JSON is bit-identical to the serial backend's.
-
-    Parameters
-    ----------
-    ranks:
-        Number of virtual ranks (ignored when ``comm`` is given).
-    comm:
-        An existing :class:`~repro.parallel.SimCommunicator` to dispatch over
-        (shares its event log / statistics with the caller).
-    placement:
-        The rank → node mapping used to cost transfers; defaults to a dense
-        :class:`~repro.cost.NodePlacement` of the backend's ranks on Summit.
-        Must cover at least as many ranks as the communicator has.
-    """
-
-    name = "distributed"
-
-    def __init__(self, *, ranks: int = 4, comm: SimCommunicator | None = None,
-                 placement: NodePlacement | None = None, **options):
-        super().__init__(**options)
-        if comm is None and ranks < 1:
-            raise ValueError(
-                f"DistributedBackend needs ranks >= 1, got {ranks}; "
-                "pass the number of virtual MPI ranks to dispatch over"
-            )
-        self.comm = SimCommunicator(int(ranks), keep_event_log=True) if comm is None else comm
-        if placement is None:
-            placement = NodePlacement(n_ranks=self.comm.size)
-        if placement.n_ranks < self.comm.size:
-            raise ValueError(
-                f"placement models {placement.n_ranks} rank(s) but the backend "
-                f"dispatches over {self.comm.size}; build NodePlacement(n_ranks="
-                f"{self.comm.size}) (or larger)"
-            )
-        self.placement = placement
-        self.rank_stats = [
-            {
-                "rank": rank,
-                "node": placement.node_of(rank),
-                "socket": placement.socket_of(rank),
-                "link": placement.link_between(0, rank).value,
-                "groups": 0,
-                "jobs": 0,
-                "predicted_cost": 0.0,
-                "predicted_seconds": 0.0,
-                "predicted_energy_j": 0.0,
-                "observed_seconds": 0.0,
-                "dispatch_bytes": 0,
-                "result_bytes": 0,
-                "comm_seconds": 0.0,
-            }
-            for rank in range(self.comm.size)
-        ]
-
-    # ------------------------------------------------------------------
-    @property
-    def ranks(self) -> int:
-        """Number of virtual ranks groups are placed onto."""
-        return self.comm.size
-
-    @staticmethod
-    def _wire(payload) -> np.ndarray:
-        """Serialize a JSON-able payload into a byte array for the communicator."""
-        # insertion order is preserved through dumps/loads, keeping the wire
-        # round-trip invisible in the report export (key order included)
-        text = json.dumps(payload, default=json_default)
-        return np.frombuffer(text.encode(), dtype=np.uint8)
-
-    def _assigned_rank(self, group: ScheduledGroup) -> int:
-        """The group's scheduler-assigned rank, or round-robin (by execution
-        position) when unplaced."""
-        if group.rank is not None and 0 <= group.rank < self.comm.size:
-            return group.rank
-        return len(self.groups) % self.comm.size
-
-    def _execute(self, group: ScheduledGroup) -> list[JobResult]:
-        rank = self._assigned_rank(group)
-        group.rank = rank
-        stats = self.rank_stats[rank]
-
-        # dispatch: the expanded group spec travels root -> rank
-        dispatch = self._wire(
-            {
-                "group_index": group.index,
-                "job_ids": [job.job_id for job in group.jobs],
-                "configs": [job.config.to_dict() for job in group.jobs],
-            }
-        )
-        self.comm.sendrecv(dispatch, description=f"dispatch group {group.index} -> rank {rank}")
-        stats["dispatch_bytes"] += int(dispatch.nbytes)
-        stats["comm_seconds"] += self.placement.transfer_seconds(dispatch.nbytes, 0, rank)
-
-        # "remote" execution on the rank (in-process, bit-identical physics)
-        group_results = super()._execute(group)
-
-        # results travel rank -> root as observables-only dicts
-        wire = self._wire([result.to_dict() for result in group_results])
-        received = self.comm.sendrecv(wire, description=f"results group {group.index} <- rank {rank}")
-        stats["result_bytes"] += int(wire.nbytes)
-        stats["comm_seconds"] += self.placement.transfer_seconds(wire.nbytes, rank, 0)
-        stats["groups"] += 1
-        stats["jobs"] += group.n_jobs
-        if np.isfinite(group.predicted_cost):
-            stats["predicted_cost"] += float(group.predicted_cost)
-        if np.isfinite(group.predicted_seconds):
-            stats["predicted_seconds"] += float(group.predicted_seconds)
-        if np.isfinite(group.predicted_energy_j):
-            stats["predicted_energy_j"] += float(group.predicted_energy_j)
-        stats["observed_seconds"] += group_wall_seconds(group_results)
-
-        decoded = json.loads(bytes(bytearray(received)).decode())
-        return [JobResult.from_dict(d) for d in decoded]
-
-    def execution_summary(self) -> dict:
-        summary = super().execution_summary()
-        summary["ranks"] = self.comm.size
-        summary["placement"] = {
-            "ranks_per_node": self.placement.ranks_per_node,
-            "n_nodes": self.placement.n_nodes,
-        }
-        summary["per_rank"] = [dict(stats) for stats in self.rank_stats]
-        summary["comm"] = {
-            "calls": dict(self.comm.stats.calls),
-            "bytes": dict(self.comm.stats.bytes),
-            "total_bytes": self.comm.stats.total_bytes(),
-        }
-        return summary

@@ -2,7 +2,7 @@
 
 The unit of scheduling is the *ground-state group* (all jobs sharing one SCF,
 see :func:`repro.batch.sweep.ground_state_group_key`): groups are what the
-backends dispatch, so they are what the scheduler orders and places. Costs are
+executor runs, so they are what the scheduler orders and places. Costs are
 layered the way the paper planned its campaigns: relative FLOPs from
 :mod:`repro.perf.sweep_cost` (the cheap config layers only), turned into
 predicted wall seconds and joules on a parameterised Summit by a
@@ -17,7 +17,7 @@ Policies (``run.schedule.policy`` in :class:`~repro.api.SimulationConfig`, or
 * ``"cheapest_first"`` — ascending predicted wall time: short jobs surface
   early, a sweep with a wall-time budget gets the most results per hour.
 * ``"makespan_balanced"`` — descending predicted wall time (LPT), so greedy
-  least-loaded packing bounds the distributed makespan at ``(4/3 - 1/3m)`` of
+  least-loaded packing bounds the packed makespan at ``(4/3 - 1/3m)`` of
   the optimum; packing weighs groups by predicted *seconds*.
 * ``"energy_aware"`` — descending predicted energy to solution; ordering and
   packing weigh groups by predicted *joules* (watts of the occupied nodes
@@ -28,6 +28,7 @@ Policies (``run.schedule.policy`` in :class:`~repro.api.SimulationConfig`, or
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -35,7 +36,34 @@ from ..api.config import SCHEDULE_POLICIES
 from ..cost.model import MachineCostModel, machine_name
 from ..perf.sweep_cost import predict_group_cost, workload_sizes
 
-__all__ = ["SCHEDULE_POLICIES", "ScheduledGroup", "Scheduler"]
+__all__ = ["SCHEDULE_POLICIES", "ScheduledGroup", "Scheduler", "rank_loads", "rank_makespan"]
+
+
+def rank_loads(items, seconds_of, n_ranks: int, rank_of=attrgetter("rank")) -> list[float]:
+    """Summed ``seconds_of(item)`` per rank of a packing onto ``n_ranks`` ranks.
+
+    ``items`` are :class:`ScheduledGroup`\\ s (placed by their ``rank``) or
+    anything ``rank_of`` maps to a rank, e.g. the ``per_rank`` rows of an
+    execution summary. An item without a valid rank counts toward rank 0 and
+    a missing or non-finite value (the ``nan`` of a failed prediction) adds
+    nothing.
+    """
+    loads = [0.0] * n_ranks
+    for item in items:
+        rank = rank_of(item)
+        value = seconds_of(item)
+        if value is None or not np.isfinite(value):
+            continue
+        loads[rank if rank is not None and 0 <= rank < n_ranks else 0] += float(value)
+    return loads
+
+
+def rank_makespan(items, seconds_of, n_ranks: int, rank_of=attrgetter("rank")) -> float:
+    """The busiest rank's summed ``seconds_of(item)`` (see :func:`rank_loads`):
+    the one makespan reduction the planner forecast, the service's lease
+    accounting and the per-rank execution reports share. Unlike
+    :meth:`Scheduler.makespan` it always measures in the caller's unit."""
+    return max(rank_loads(items, seconds_of, n_ranks, rank_of), default=0.0)
 
 
 @dataclass
@@ -61,8 +89,8 @@ class ScheduledGroup:
     n_gpus:
         Modeled GPUs the group occupies (``run.machine.gpus_per_group``).
     rank:
-        Assigned virtual rank (set by :meth:`Scheduler.pack`; ``None`` for
-        purely local backends).
+        Assigned virtual rank (set by :meth:`Scheduler.pack`; ``None`` until
+        packed).
     machine, propagator, n_bands, n_grid:
         Self-describing identity for calibration observations
         (:mod:`repro.calib`): the machine preset the prediction was priced
@@ -70,7 +98,7 @@ class ScheduledGroup:
         the group key excludes them), and the workload sizes from
         :func:`~repro.perf.sweep_cost.workload_sizes`.
     observed_seconds:
-        Wall seconds the group actually took, stamped by the backends after
+        Wall seconds the group actually took, stamped by the executor after
         execution (``nan`` until then).
     repriced_seconds:
         Calibration-corrected predicted seconds, stamped by an adaptive
@@ -154,7 +182,7 @@ class Scheduler:
     batch_stepping:
         Predict group costs with the lockstep-stepping amortization of
         :func:`~repro.perf.sweep_cost.predict_group_cost` applied — matches
-        how the backends will actually run when batched stepping is enabled.
+        how the executor will actually run when batched stepping is enabled.
         Ignored by a custom ``cost_fn``.
     calibration:
         A fitted :class:`~repro.calib.CalibrationModel`: the machine model is

@@ -1,6 +1,6 @@
 """One frozen object describing *how* a sweep executes: ``ExecutionSettings``.
 
-It collapses everything about *where and how* a sweep runs — backend, ranks,
+It collapses everything about *where and how* a sweep runs — ranks,
 scheduling policy, machine preset, GPUs per group, batched stepping,
 precision — into a single frozen, JSON-round-trippable value: the thing a
 :class:`~repro.campaign.CampaignPlanner` emits and a
@@ -8,8 +8,7 @@ precision — into a single frozen, JSON-round-trippable value: the thing a
 
 .. code-block:: python
 
-    settings = ExecutionSettings(backend="distributed", ranks=4,
-                                 schedule="makespan_balanced",
+    settings = ExecutionSettings(ranks=4, schedule="makespan_balanced",
                                  machine="frontier", gpus_per_group=8)
     report = BatchRunner(spec, settings=settings).run()
 
@@ -19,13 +18,15 @@ store keys are computed with ``run.schedule`` / ``run.machine`` excluded,
 so the same sweep re-run under any settings reuses its stored results
 bit-for-bit.
 
-The backend is ``"serial"`` or ``"distributed"``; both run each group
-in-process (:mod:`repro.exec.backends`), so no setting sizes a worker pool.
+Every sweep is packed onto ``ranks`` virtual ranks and runs in-process, one
+group after another (:mod:`repro.exec.backends`): the rank count shapes the
+packing and the per-rank accounting, never the physics, and no setting sizes
+a worker pool.
 
 Without an explicit ``settings=`` object, a
 :class:`~repro.batch.BatchRunner` takes :meth:`ExecutionSettings.from_config`
 of its base config — the ``run.schedule`` / ``run.machine`` sections over the
-defaults (serial backend, 4 ranks, ``fifo``, Summit, 1 GPU/group).
+defaults (1 rank, ``fifo``, Summit, 1 GPU/group).
 """
 
 from __future__ import annotations
@@ -35,13 +36,8 @@ from dataclasses import dataclass, fields
 from ..api.config import SCHEDULE_POLICIES
 from ..core.precision import resolve_precision
 from ..cost.model import MachineCostModel, resolve_machine
-from ..cost.placement import NodePlacement
 
-__all__ = ["BACKEND_NAMES", "ExecutionSettings"]
-
-#: the ``backend=`` names accepted by :class:`ExecutionSettings` /
-#: :class:`~repro.batch.BatchRunner`
-BACKEND_NAMES = ("serial", "distributed")
+__all__ = ["ExecutionSettings"]
 
 
 @dataclass(frozen=True)
@@ -50,12 +46,9 @@ class ExecutionSettings:
 
     Parameters
     ----------
-    backend:
-        ``"serial"`` or ``"distributed"`` (see :mod:`repro.exec.backends`);
-        both run groups in-process, the distributed one placed onto
-        virtual ranks with per-rank communication accounting.
     ranks:
-        Virtual MPI ranks of the distributed backend (ignored by serial).
+        Virtual ranks the sweep's groups are packed onto
+        (:meth:`~repro.exec.Scheduler.pack`); 1 runs them as one queue.
     schedule:
         Scheduling policy, one of :data:`repro.api.SCHEDULE_POLICIES`.
     machine:
@@ -77,8 +70,7 @@ class ExecutionSettings:
         written to or served from the result store.
     """
 
-    backend: str = "serial"
-    ranks: int = 4
+    ranks: int = 1
     schedule: str = "fifo"
     machine: str | None = "summit"
     gpus_per_group: int = 1
@@ -86,10 +78,6 @@ class ExecutionSettings:
     precision: str = "complex128"
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"backend must be one of {list(BACKEND_NAMES)}, got {self.backend!r}"
-            )
         # integral floats are coerced (JSON-sourced settings dicts may carry
         # ranks=4.0)
         for name in ("ranks", "gpus_per_group"):
@@ -142,13 +130,6 @@ class ExecutionSettings:
         return MachineCostModel(
             system=resolve_machine(self.machine), gpus_per_group=self.gpus_per_group
         )
-
-    def placement(self) -> NodePlacement | None:
-        """A dense :class:`~repro.cost.NodePlacement` of ``ranks`` on the
-        machine (``None`` without a machine model or for the serial backend)."""
-        if self.machine is None or self.backend != "distributed":
-            return None
-        return NodePlacement(n_ranks=self.ranks, system=resolve_machine(self.machine))
 
     def scheduler(self):
         """The :class:`~repro.exec.Scheduler` these settings describe."""

@@ -51,6 +51,7 @@ from ..batch.report import SweepReport
 from ..batch.sweep import SweepSpec, group_jobs
 from ..calib import CalibrationModel, Observation
 from ..exec.backends import SerialBackend, store_record
+from ..exec.scheduler import rank_loads, rank_makespan
 from ..exec.settings import ExecutionSettings
 from .pool import Lease, NodePool
 
@@ -119,29 +120,18 @@ def _repack(completed, remaining, segment, n_ranks: int) -> CalibrationModel:
                 group.machine, group.propagator
             )
     remaining.sort(key=lambda g: (-g.planned_seconds, g.index))
-    loads = [0.0] * n_ranks
-    for group in segment:
-        rank = group.rank if group.rank is not None and 0 <= group.rank < n_ranks else 0
-        elapsed = group.observed_seconds
-        loads[rank] += (
-            float(elapsed) if np.isfinite(elapsed) and elapsed > 0
-            else group.planned_seconds
-        )
+    loads = rank_loads(
+        segment,
+        lambda g: g.observed_seconds
+        if np.isfinite(g.observed_seconds) and g.observed_seconds > 0
+        else g.planned_seconds,
+        n_ranks,
+    )
     for group in remaining:
         rank = min(range(n_ranks), key=lambda r: (loads[r], r))
         group.rank = rank
         loads[rank] += group.planned_seconds
     return fit
-
-
-def _rank_makespan(groups, rank_of: dict[int, int | None], seconds_of, n_ranks: int) -> float:
-    """Makespan of a packing: busiest rank's summed ``seconds_of(group)``."""
-    loads: dict[int, float] = {}
-    for group in groups:
-        rank = rank_of.get(group.index)
-        rank = rank if rank is not None and 0 <= rank < n_ranks else 0
-        loads[rank] = loads.get(rank, 0.0) + float(seconds_of(group))
-    return max(loads.values(), default=0.0)
 
 
 @dataclass
@@ -289,13 +279,7 @@ async def run_sweep(
             # (calibration-repriced where re-packed) — for a full un-preempted
             # sweep exactly the planner's predicted wall
             pool.release(
-                lease,
-                _rank_makespan(
-                    segment,
-                    {g.index: g.rank for g in segment},
-                    lambda g: g.planned_seconds,
-                    settings.ranks,
-                ),
+                lease, rank_makespan(segment, lambda g: g.planned_seconds, settings.ranks)
             )
             leases.append(lease)
         cursor = lease.end
@@ -343,11 +327,11 @@ async def run_sweep(
                     )
                 return group.planned_seconds
 
-            record["static_modeled_makespan_s"] = _rank_makespan(
-                scheduled, static_rank, corrected, settings.ranks
+            record["static_modeled_makespan_s"] = rank_makespan(
+                scheduled, corrected, settings.ranks, rank_of=lambda g: static_rank[g.index]
             )
-            record["adaptive_modeled_makespan_s"] = _rank_makespan(
-                scheduled, {g.index: g.rank for g in scheduled}, corrected, settings.ranks
+            record["adaptive_modeled_makespan_s"] = rank_makespan(
+                scheduled, corrected, settings.ranks
             )
         execution["adaptive"] = record
     if store is not None:

@@ -148,45 +148,38 @@ class TestAccuracy:
 class TestScalingTable:
     def _execution(self):
         return {
-            "backend": "distributed",
+            "backend": "serial",
             "schedule": "makespan_balanced",
             "ranks": 2,
             "n_groups": 2,
             "n_jobs": 4,
             "per_rank": [
-                {"rank": 0, "node": 0, "link": "nvlink", "groups": 1, "jobs": 2,
+                {"rank": 0, "groups": 1, "jobs": 2,
                  "predicted_seconds": 2.5, "observed_seconds": 0.4,
-                 "predicted_energy_j": 10.0, "comm_seconds": 0.001,
-                 "dispatch_bytes": 100, "result_bytes": 400},
-                {"rank": 1, "node": 1, "link": "ib", "groups": 1, "jobs": 2,
+                 "predicted_energy_j": 10.0},
+                {"rank": 1, "groups": 1, "jobs": 2,
                  "predicted_seconds": 1.5, "observed_seconds": 0.3,
-                 "predicted_energy_j": 6.0, "comm_seconds": 0.002,
-                 "dispatch_bytes": 100, "result_bytes": 400},
+                 "predicted_energy_j": 6.0},
             ],
         }
 
     def test_per_rank_predicted_vs_observed_rows(self, report):
         report.execution = self._execution()
-        table = report.scaling_table()
+        table = report.execution_table()
         lines = table.splitlines()
         assert "predicted [s]" in lines[0] and "observed [s]" in lines[0]
         assert "energy [J]" in lines[0]
         assert len(lines) == 2 + 2 + 1  # header, separator, 2 ranks, footer
-        assert "nvlink" in table and "ib" in table
+        assert "schedule=makespan_balanced ranks=2" in lines[-1]
         assert "predicted makespan = 2.5 s" in lines[-1]
         assert "observed 0.4 s" in lines[-1]
         assert "predicted energy = 16 J" in lines[-1]
-        assert "1000 B" in lines[-1]
 
-    def test_non_distributed_backends_get_a_pointer(self, report):
+    def test_summary_without_per_rank_rows_renders_one_line(self, report):
         report.execution = {"backend": "serial", "n_groups": 2, "n_jobs": 4}
-        assert "backend='distributed'" in report.scaling_table()
-
-    def test_execution_table_carries_links_and_wall_costs(self, report):
-        report.execution = self._execution()
-        table = report.execution_table()
-        assert "link" in table.splitlines()[0] and "comm [s]" in table.splitlines()[0]
-        assert "nvlink" in table and "ib" in table
+        assert report.execution_table() == "backend=serial schedule=? groups=2 jobs=4"
+        report.execution = {}
+        assert report.execution_table() == "(no execution summary recorded)"
 
 
 def _kick_result(index, n_atoms, omega, *, pulse="delta_kick", strength=0.01) -> JobResult:

@@ -216,7 +216,7 @@ class TestFailureCapture:
 
 class TestProcessBackend:
     def test_unknown_backend_raises(self, ptcn_rk4_spec):
-        with pytest.raises(ValueError, match="serial"):
+        with pytest.raises(ValueError, match="unknown ExecutionSettings key.*'backend'"):
             BatchRunner(ptcn_rk4_spec, settings={"backend": "threads"})
 
 

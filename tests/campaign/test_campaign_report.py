@@ -9,7 +9,7 @@ import pytest
 
 from repro.api import PROPAGATORS
 from repro.batch import BatchRunner, SweepSpec
-from repro.campaign import Budget, CampaignReport, CampaignSpec, plan, run
+from repro.campaign import Budget, CampaignPlanner, CampaignReport, CampaignSpec, plan, run
 
 
 @pytest.fixture()
@@ -52,6 +52,20 @@ class TestExecution:
                 np.testing.assert_array_equal(
                     planned.trajectory.energies, manual.trajectory.energies
                 )
+
+    def test_observed_wall_is_the_busiest_rank_of_a_packed_plan(self, small_campaign):
+        """A ranks=2 plan predicts the busiest rank of its packing; the
+        observed wall (and so the drift column) must reduce the same way
+        instead of summing every job's wall."""
+        execution_plan = CampaignPlanner(small_campaign, rank_options=(2,)).plan()
+        assert execution_plan.settings.ranks == 2
+        report = execution_plan.execute()
+        per_rank = report["cutoff"].execution["per_rank"]
+        assert [s["groups"] for s in per_rank] == [1, 1]
+        observed = report.observed_wall_seconds("cutoff")
+        assert observed == max(s["observed_seconds"] for s in per_rank)
+        summed = sum(r.summary["wall_time"] for r in report["cutoff"].results)
+        assert observed < summed
 
     def test_run_facade_plans_and_executes(self, small_campaign):
         report = run(small_campaign)

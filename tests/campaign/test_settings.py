@@ -8,29 +8,21 @@ from hypothesis import strategies as st
 
 from repro.api import SimulationConfig
 from repro.batch import BatchRunner, SweepSpec, config_hash
-from repro.cost import MACHINES, MachineCostModel, NodePlacement
-from repro.exec import BACKEND_NAMES, ExecutionSettings, Scheduler
+from repro.cost import MACHINES, MachineCostModel
+from repro.exec import ExecutionSettings, Scheduler
 
 
 class TestValidation:
     def test_defaults_are_the_pre_settings_defaults(self):
         settings = ExecutionSettings()
-        assert settings.backend == "serial"
-        assert settings.ranks == 4
+        assert settings.ranks == 1
         assert settings.schedule == "fifo"
         assert settings.machine == "summit"
         assert settings.gpus_per_group == 1
         assert list(settings.as_dict()) == [
-            "backend", "ranks", "schedule", "machine", "gpus_per_group",
+            "ranks", "schedule", "machine", "gpus_per_group",
             "batch_stepping", "precision",
         ]
-        assert BACKEND_NAMES == ("serial", "distributed")
-
-    def test_unknown_backend_lists_choices(self):
-        with pytest.raises(ValueError, match="serial.*distributed"):
-            ExecutionSettings(backend="threads")
-        with pytest.raises(ValueError, match="serial.*distributed"):
-            ExecutionSettings(backend="process")
 
     @pytest.mark.parametrize("ranks", [0, -1, 1.5, True])
     def test_bad_ranks_rejected(self, ranks):
@@ -53,7 +45,7 @@ class TestValidation:
     def test_integral_floats_coerced_for_legacy_and_json_paths(self):
         """Integral floats (ranks=4.0, as JSON-sourced settings dicts carry
         them) are coerced to int."""
-        settings = ExecutionSettings(backend="distributed", ranks=4.0, gpus_per_group=2.0)
+        settings = ExecutionSettings(ranks=4.0, gpus_per_group=2.0)
         assert settings.ranks == 4 and isinstance(settings.ranks, int)
         assert settings.gpus_per_group == 2 and isinstance(settings.gpus_per_group, int)
 
@@ -72,27 +64,26 @@ class TestResolution:
         assert settings.schedule == "energy_aware"
         assert settings.machine == "frontier"
         assert settings.gpus_per_group == 8
-        assert settings.backend == "serial"  # not a config concern: default
+        assert settings.ranks == 1  # not a config concern: default
 
     def test_explicit_arguments_override_the_config(self):
         config = SimulationConfig.from_dict({"run": {"schedule": {"policy": "energy_aware"}}})
-        settings = ExecutionSettings.from_config(config, backend="distributed", ranks=2, schedule="fifo")
-        assert settings.backend == "distributed"
+        settings = ExecutionSettings.from_config(config, ranks=2, schedule="fifo")
         assert settings.ranks == 2
         assert settings.schedule == "fifo"
 
     def test_none_arguments_fall_through_to_the_config(self):
         config = SimulationConfig.from_dict({"run": {"schedule": {"policy": "cheapest_first"}}})
-        settings = ExecutionSettings.from_config(config, backend=None, schedule=None)
+        settings = ExecutionSettings.from_config(config, ranks=None, schedule=None)
         assert settings.schedule == "cheapest_first"
-        assert settings.backend == "serial"
+        assert settings.ranks == 1
 
     def test_round_trip_and_replace(self):
-        settings = ExecutionSettings(backend="distributed", ranks=8, machine="frontier")
+        settings = ExecutionSettings(ranks=8, machine="frontier")
         assert ExecutionSettings.from_dict(settings.as_dict()) == settings
         assert settings.replace(ranks=2).ranks == 2
         with pytest.raises(ValueError, match="unknown ExecutionSettings key"):
-            ExecutionSettings.from_dict({"backend": "serial", "bogus": 1})
+            ExecutionSettings.from_dict({"ranks": 1, "bogus": 1})
         with pytest.raises(ValueError, match="ranks"):
             settings.replace(ranks=0)
 
@@ -107,17 +98,9 @@ class TestDescribedObjects:
         assert model.gpu_model.gpu is MACHINES["frontier"].node.gpu
 
     def test_machine_none_disables_the_model(self):
-        settings = ExecutionSettings(machine=None, backend="distributed")
+        settings = ExecutionSettings(machine=None, ranks=4)
         assert settings.machine_model() is None
-        assert settings.placement() is None
         assert settings.scheduler().machine is None
-
-    def test_placement_only_for_the_distributed_backend(self):
-        assert ExecutionSettings(backend="serial").placement() is None
-        placement = ExecutionSettings(backend="distributed", ranks=8, machine="frontier").placement()
-        assert isinstance(placement, NodePlacement)
-        assert placement.n_ranks == 8
-        assert placement.ranks_per_node == 8  # frontier: one rank per GCD
 
     def test_scheduler_carries_policy_and_machine(self):
         scheduler = ExecutionSettings(schedule="makespan_balanced").scheduler()
@@ -141,7 +124,6 @@ class TestIdentityPreservation:
         config = SimulationConfig.from_dict({"basis": {"ecut": 2.0}})
         spec = SweepSpec(config, {"basis.ecut": [1.5, 2.0], "run.time_step_as": [1.0, 2.0]})
         settings = ExecutionSettings(
-            backend="serial" if ranks == 1 else "distributed",
             ranks=ranks,
             schedule=policy,
             machine=machine,
@@ -159,15 +141,15 @@ class TestIdentityPreservation:
 class TestBatchRunnerRedesign:
     def test_settings_object_is_the_first_class_path(self, tiny_config):
         spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0, 2.0]})
-        settings = ExecutionSettings(backend="distributed", ranks=2, schedule="makespan_balanced")
+        settings = ExecutionSettings(ranks=2, schedule="makespan_balanced")
         runner = BatchRunner(spec, settings=settings)
         assert runner.settings is settings
         assert runner.scheduler.policy == "makespan_balanced"
 
     def test_settings_accepts_the_dict_form(self, tiny_config):
         spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0]})
-        runner = BatchRunner(spec, settings={"backend": "distributed", "ranks": 2})
-        assert runner.settings == ExecutionSettings(backend="distributed", ranks=2)
+        runner = BatchRunner(spec, settings={"ranks": 2, "schedule": "energy_aware"})
+        assert runner.settings == ExecutionSettings(ranks=2, schedule="energy_aware")
 
     def test_settings_default_resolves_from_the_config(self, tiny_config):
         config = tiny_config.with_overrides(
@@ -190,7 +172,7 @@ class TestBatchRunnerRedesign:
 
     def test_report_records_the_settings_it_ran_under(self, tiny_config):
         spec = SweepSpec(tiny_config, {"run.time_step_as": [1.0, 2.0]})
-        settings = ExecutionSettings(backend="distributed", ranks=2, machine="frontier")
+        settings = ExecutionSettings(ranks=2, machine="frontier")
         report = BatchRunner(spec, settings=settings).run()
         assert report.settings == settings.as_dict()
         data = report.to_dict()

@@ -216,10 +216,10 @@ class TestSweepExecutionPoint:
             "n_groups": 3,
             "n_jobs": 6,
             "per_rank": [
-                {"predicted_seconds": 2.0, "observed_seconds": 0.4, "predicted_energy_j": 10.0,
-                 "dispatch_bytes": 100, "result_bytes": 300, "comm_seconds": 0.1},
-                {"predicted_seconds": 3.0, "observed_seconds": 0.2, "predicted_energy_j": 20.0,
-                 "dispatch_bytes": 50, "result_bytes": 150, "comm_seconds": 0.2},
+                {"rank": 0, "predicted_seconds": 2.0, "observed_seconds": 0.4,
+                 "predicted_energy_j": 10.0},
+                {"rank": 1, "predicted_seconds": 3.0, "observed_seconds": 0.2,
+                 "predicted_energy_j": 20.0},
             ],
         }
         point = sweep_execution_point(execution)
@@ -230,10 +230,13 @@ class TestSweepExecutionPoint:
             "predicted_makespan_s": 3.0,
             "observed_makespan_s": 0.4,
             "predicted_energy_j": 30.0,
-            "comm_bytes": 600,
-            "comm_seconds": pytest.approx(0.3),
         }
 
     def test_requires_per_rank_accounting(self):
-        with pytest.raises(ValueError, match="distributed"):
+        with pytest.raises(ValueError, match="per-rank"):
             sweep_execution_point({"backend": "serial"})
+        with pytest.raises(ValueError, match="per-rank"):
+            sweep_execution_point({"per_rank": [None, "not-a-dict"]})
+        # a 1-rank sweep carries one row and reduces like any other
+        one_rank = {"ranks": 1, "per_rank": [{"rank": 0, "predicted_seconds": 2.0}]}
+        assert sweep_execution_point(one_rank)["predicted_makespan_s"] == 2.0

@@ -1,11 +1,11 @@
-"""Execution backends: distributed equivalence, comm accounting, gs sharing.
+"""The group executor: packed-rank equivalence, per-rank accounting, gs sharing.
 
-Acceptance tests of the backend layer: ``BatchRunner(spec,
-settings=ExecutionSettings(backend="distributed", ranks=4))`` runs a >=4-group
-sweep over the simulated MPI runtime, reports per-rank communication volume,
-and its deterministic report export is bit-identical to the serial backend's;
-ground states shared through the store (or warm sessions without one) let
-resumed sweeps skip every SCF.
+Acceptance tests of the execution layer: ``BatchRunner(spec,
+settings=ExecutionSettings(ranks=4))`` packs a >=4-group sweep onto four
+virtual ranks, reports model-only per-rank predicted/observed seconds, and
+its deterministic report export is bit-identical to the 1-rank run's at any
+rank count and scheduling policy; ground states shared through the store (or
+warm sessions without one) let resumed sweeps skip every SCF.
 """
 
 import json
@@ -13,23 +13,14 @@ import json
 import numpy as np
 import pytest
 
-from repro.batch import BatchRunner, SweepReport, SweepSpec
-from repro.exec import DistributedBackend, ExecutionSettings, Scheduler, SerialBackend
-from repro.parallel import SimCommunicator
+from repro.batch import BatchRunner, SweepSpec
+from repro.exec import ExecutionSettings, Scheduler, SerialBackend
 from repro.store import ResultStore
 
 
 def on_ranks(ranks: int, **fields) -> ExecutionSettings:
-    """Settings of the distributed backend over ``ranks`` virtual ranks."""
-    return ExecutionSettings(backend="distributed", ranks=ranks, **fields)
-
-
-def run_report(backend, spec) -> SweepReport:
-    """Schedule ``spec`` (fifo), run every group through ``backend``, wrap the results."""
-    results = []
-    for group in Scheduler("fifo").schedule(BatchRunner(spec).groups()):
-        results.extend(backend.run_group(group))
-    return SweepReport(results, axes=spec.axis_paths, execution=backend.execution_summary())
+    """Settings packing the sweep onto ``ranks`` virtual ranks."""
+    return ExecutionSettings(ranks=ranks, **fields)
 
 
 @pytest.fixture()
@@ -41,47 +32,77 @@ def four_group_spec(tiny_config):
     )
 
 
+@pytest.fixture(scope="module")
+def one_rank_exports() -> dict:
+    """Deterministic 1-rank exports keyed by the sweep's job ids, computed
+    once per module for the rank x policy matrix below."""
+    return {}
+
+
 # ---------------------------------------------------------------------------
-# Acceptance: distributed backend over 4 simulated ranks
+# Acceptance: a sweep packed onto virtual ranks
 # ---------------------------------------------------------------------------
 
+#: the columns of one model-only ``per_rank`` row
+RANK_ROW_KEYS = {
+    "rank", "groups", "jobs", "predicted_cost", "predicted_seconds",
+    "predicted_energy_j", "observed_seconds",
+}
 
-class TestDistributedBackend:
-    def test_distributed_matches_serial_bit_for_bit(self, four_group_spec):
-        serial = BatchRunner(four_group_spec).run()
-        distributed = BatchRunner(four_group_spec, settings=on_ranks(4)).run()
 
-        assert [r.status for r in distributed] == ["completed"] * 8
-        assert distributed.to_json(exclude_timings=True) == serial.to_json(exclude_timings=True)
-        assert distributed.fig6_table(include_wall=False) == serial.fig6_table(include_wall=False)
-        for a, b in zip(serial, distributed):
+class TestPackedRanks:
+    def test_packed_sweep_matches_one_rank_bit_for_bit(self, four_group_spec):
+        one_rank = BatchRunner(four_group_spec).run()
+        packed = BatchRunner(four_group_spec, settings=on_ranks(4)).run()
+
+        assert [r.status for r in packed] == ["completed"] * 8
+        assert packed.to_json(exclude_timings=True) == one_rank.to_json(exclude_timings=True)
+        assert packed.fig6_table(include_wall=False) == one_rank.fig6_table(include_wall=False)
+        for a, b in zip(one_rank, packed):
             assert a.job_id == b.job_id
             np.testing.assert_array_equal(a.trajectory.energies, b.trajectory.energies)
             np.testing.assert_array_equal(a.trajectory.dipoles, b.trajectory.dipoles)
 
-    def test_per_rank_communication_volume_is_reported(self, four_group_spec):
+    @pytest.mark.parametrize("schedule", ["fifo", "makespan_balanced", "energy_aware"])
+    @pytest.mark.parametrize("ranks", [1, 2, 3, 4])
+    def test_exports_identical_to_one_rank(self, four_group_spec, one_rank_exports, ranks, schedule):
+        """Acceptance: the deterministic export is bit-identical to the
+        1-rank export at any rank count and scheduling policy."""
+        key = tuple(job.job_id for job in four_group_spec.expand())
+        if key not in one_rank_exports:
+            one_rank_exports[key] = BatchRunner(four_group_spec).run().to_json(exclude_timings=True)
+        report = BatchRunner(four_group_spec, settings=on_ranks(ranks, schedule=schedule)).run()
+        assert report.to_json(exclude_timings=True) == one_rank_exports[key]
+        assert report.execution["ranks"] == ranks
+        assert report.settings["ranks"] == ranks
+
+    def test_per_rank_accounting_is_reported(self, four_group_spec):
         report = BatchRunner(four_group_spec, settings=on_ranks(4)).run()
         execution = report.execution
 
-        assert execution["backend"] == "distributed"
         assert execution["ranks"] == 4
         per_rank = execution["per_rank"]
         assert [s["rank"] for s in per_rank] == [0, 1, 2, 3]
+        assert all(set(s) == RANK_ROW_KEYS for s in per_rank)
         assert sum(s["groups"] for s in per_rank) == 4
         assert sum(s["jobs"] for s in per_rank) == 8
-        # every rank got work, and both directions of traffic were logged
+        # fifo packs round-robin: every rank got one group, priced and timed
         assert all(s["groups"] == 1 for s in per_rank)
-        assert all(s["dispatch_bytes"] > 0 and s["result_bytes"] > 0 for s in per_rank)
-
-        comm = execution["comm"]
-        assert comm["calls"]["sendrecv"] == 2 * 4  # dispatch + results per group
-        assert comm["total_bytes"] == sum(
-            s["dispatch_bytes"] + s["result_bytes"] for s in per_rank
-        )
-        # the execution summary renders, one row per rank
+        for stats in per_rank:
+            assert stats["predicted_seconds"] > 0
+            assert stats["predicted_energy_j"] > 0
+            assert stats["observed_seconds"] > 0
+        # each rank's row sums the group records packed onto it
+        for stats in per_rank:
+            mine = [g for g in execution["groups"] if g["rank"] == stats["rank"]]
+            assert stats["observed_seconds"] == pytest.approx(
+                sum(g["observed_seconds"] for g in mine)
+            )
+        # the execution summary renders, one row per rank, makespans in the footer
         table = report.execution_table()
         assert len(table.splitlines()) == 2 + 4 + 1
-        assert "dispatch" in table and "distributed" in table
+        assert "observed [s]" in table.splitlines()[0]
+        assert "ranks=4 predicted makespan" in table.splitlines()[-1]
 
     def test_execution_summary_json_exports_on_request(self, four_group_spec):
         report = BatchRunner(four_group_spec, settings=on_ranks(2)).run()
@@ -90,6 +111,17 @@ class TestDistributedBackend:
         full = json.loads(report.to_json(include_execution=True))
         assert full["execution"]["ranks"] == 2
         assert full["execution"]["schedule"] == "fifo"
+
+    def test_execution_summary_is_strict_json(self, four_group_spec):
+        report = BatchRunner(
+            four_group_spec, settings=on_ranks(4, schedule="energy_aware")
+        ).run()
+        text = json.dumps(report.execution, allow_nan=False)
+        decoded = json.loads(text)
+        assert len(decoded["per_rank"]) == 4
+        group = decoded["groups"][0]
+        assert group["predicted_seconds"] > 0
+        assert group["predicted_energy_j"] > 0
 
     def test_makespan_balanced_packing_assigns_ranks(self, tiny_config):
         spec = SweepSpec(
@@ -107,130 +139,24 @@ class TestDistributedBackend:
         assert max(costs) > 0
         assert min(costs) > 0
 
-    def test_external_communicator_accumulates_stats(self, four_group_spec):
-        comm = SimCommunicator(4, keep_event_log=True)
-        scheduler = Scheduler("fifo")
-        scheduled = scheduler.schedule(BatchRunner(four_group_spec).groups())
-        backend = DistributedBackend(comm=comm)
-        results = [r for group in scheduled for r in backend.run_group(group)]
-        assert len(results) == 8
-        assert comm.stats.total_bytes() > 0
-        assert len(comm.events) == 8  # 2 sendrecvs x 4 groups
-        assert all("group" in event.description for event in comm.events)
-
-    def test_single_rank_distributed_still_works(self, tiny_config):
+    def test_single_rank_packs_every_group_on_rank_0(self, tiny_config):
         spec = SweepSpec(tiny_config, {"basis.ecut": [1.5, 2.0]})
         report = BatchRunner(spec, settings=on_ranks(1)).run()
         assert [r.status for r in report] == ["completed", "completed"]
+        assert report.execution["ranks"] == 1
         assert report.execution["per_rank"][0]["groups"] == 2
 
     def test_invalid_ranks_raise(self, four_group_spec):
         with pytest.raises(ValueError, match="ranks"):
             BatchRunner(four_group_spec, settings=on_ranks(0))
 
-    def test_distributed_respects_checkpoints(self, four_group_spec, tmp_path, count_scf_solves):
+    def test_packed_sweep_respects_the_store(self, four_group_spec, tmp_path, count_scf_solves):
         BatchRunner(four_group_spec, store=ResultStore(tmp_path), settings=on_ranks(4)).run()
         scf_first = len(count_scf_solves)
         assert scf_first == 4
         resumed = BatchRunner(four_group_spec, store=ResultStore(tmp_path), settings=on_ranks(4)).run()
         assert [r.status for r in resumed] == ["cached"] * 8
         assert len(count_scf_solves) == scf_first
-
-
-# ---------------------------------------------------------------------------
-# Node placement and link-attributed transfer costs (repro.cost integration)
-# ---------------------------------------------------------------------------
-
-
-class TestPlacementCosting:
-    def test_ranks_below_one_rejected_with_actionable_error(self):
-        """Satellite: the backend itself rejects bad rank counts instead of
-        failing deep inside SimCommunicator."""
-        with pytest.raises(ValueError, match="ranks >= 1.*virtual MPI ranks"):
-            DistributedBackend(ranks=0)
-        with pytest.raises(ValueError, match="ranks >= 1"):
-            DistributedBackend(ranks=-3)
-
-    def test_undersized_placement_rejected_with_fix(self):
-        from repro.cost import NodePlacement
-
-        with pytest.raises(ValueError, match=r"NodePlacement\(n_ranks=4\)"):
-            DistributedBackend(ranks=4, placement=NodePlacement(n_ranks=2))
-
-    def test_every_transfer_attributed_to_a_modeled_link(self, four_group_spec):
-        """Acceptance: 8 ranks span both sockets and a second node, and every
-        rank that received work logs link-attributed traffic with a nonzero
-        predicted wall cost."""
-        report = BatchRunner(four_group_spec, settings=on_ranks(8)).run()
-        per_rank = report.execution["per_rank"]
-        # Summit geometry: 3 ranks per socket, 6 per node
-        assert [s["link"] for s in per_rank] == (
-            ["nvlink"] * 3 + ["xbus"] * 3 + ["ib"] * 2
-        )
-        assert [s["node"] for s in per_rank] == [0] * 6 + [1] * 2
-        busy = [s for s in per_rank if s["groups"] > 0]
-        assert len(busy) == 4
-        for stats in busy:
-            assert stats["comm_seconds"] > 0
-            assert stats["dispatch_bytes"] > 0 and stats["result_bytes"] > 0
-            assert stats["predicted_seconds"] > 0
-            assert stats["predicted_energy_j"] > 0
-            assert stats["observed_seconds"] > 0
-        assert report.execution["placement"] == {"ranks_per_node": 6, "n_nodes": 2}
-
-    def test_sparse_placement_moves_traffic_to_infiniband(self, four_group_spec):
-        """A 2-ranks-per-node placement puts rank 2+ on other nodes: the same
-        sweep's traffic crosses IB instead of NVLink and costs more wall."""
-        from repro.cost import NodePlacement
-
-        dense = run_report(DistributedBackend(ranks=4), four_group_spec)
-        sparse = run_report(
-            DistributedBackend(ranks=4, placement=NodePlacement(n_ranks=4, ranks_per_node=2)),
-            four_group_spec,
-        )
-        dense_links = [s["link"] for s in dense.execution["per_rank"]]
-        sparse_links = [s["link"] for s in sparse.execution["per_rank"]]
-        assert dense_links == ["nvlink", "nvlink", "nvlink", "xbus"]
-        # 2 ranks per node: one per socket (x-bus), the rest across nodes
-        assert sparse_links == ["nvlink", "xbus", "ib", "ib"]
-        # same bytes, slower wires -> strictly larger predicted transfer cost
-        total = lambda r, k: sum(s[k] for s in r.execution["per_rank"])  # noqa: E731
-        assert total(sparse, "dispatch_bytes") == total(dense, "dispatch_bytes")
-        assert total(sparse, "comm_seconds") > total(dense, "comm_seconds")
-
-    def test_exports_identical_across_placements_and_policies(self, four_group_spec):
-        """Acceptance: the deterministic export is bit-identical across
-        backends, placements and scheduling policies."""
-        from repro.cost import NodePlacement
-
-        serial = BatchRunner(four_group_spec).run()
-        variants = [
-            BatchRunner(four_group_spec, settings=on_ranks(4)).run(),
-            run_report(
-                DistributedBackend(ranks=4, placement=NodePlacement(n_ranks=4, ranks_per_node=1)),
-                four_group_spec,
-            ),
-            BatchRunner(
-                four_group_spec, settings=on_ranks(3, schedule="energy_aware")
-            ).run(),
-            BatchRunner(
-                four_group_spec, settings=on_ranks(2, schedule="makespan_balanced")
-            ).run(),
-        ]
-        reference = serial.to_json(exclude_timings=True)
-        for report in variants:
-            assert report.to_json(exclude_timings=True) == reference
-
-    def test_execution_summary_is_strict_json(self, four_group_spec):
-        report = BatchRunner(
-            four_group_spec, settings=on_ranks(4, schedule="energy_aware")
-        ).run()
-        text = json.dumps(report.execution, allow_nan=False)
-        decoded = json.loads(text)
-        assert decoded["placement"]["ranks_per_node"] == 6
-        group = decoded["groups"][0]
-        assert group["predicted_seconds"] > 0
-        assert group["predicted_energy_j"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +271,7 @@ class TestGroundStateSharing:
             fresh.adopt_ground_state(without_basis)
 
     def test_distributed_shares_ground_states_too(self, tiny_config, tmp_path, count_scf_solves):
+        """Groups packed onto two ranks share ground states through the store."""
         spec = SweepSpec(tiny_config, {"basis.ecut": [1.5, 2.0]})
         BatchRunner(spec, store=ResultStore(tmp_path), settings=on_ranks(2)).run()
         assert len(count_scf_solves) == 2
@@ -353,24 +280,26 @@ class TestGroundStateSharing:
         )
         report = BatchRunner(follow_up, store=ResultStore(tmp_path), settings=on_ranks(2)).run()
         assert [r.status for r in report] == ["completed", "completed"]
-        assert len(count_scf_solves) == 2  # adopted on the simulated ranks
+        assert len(count_scf_solves) == 2  # adopted on both ranks
 
 
 # ---------------------------------------------------------------------------
-# Backend construction / protocol surface
+# Executor construction / protocol surface
 # ---------------------------------------------------------------------------
 
 
 class TestBackendSurface:
     def test_unknown_backend_raises_listing_choices(self, four_group_spec):
-        with pytest.raises(ValueError, match="serial.*distributed"):
+        """There is no backend setting: a stale ``backend`` key is rejected
+        with the valid settings keys."""
+        with pytest.raises(ValueError, match="unknown ExecutionSettings key.*'backend'.*ranks"):
             BatchRunner(four_group_spec, settings={"backend": "threads"})
 
-    @pytest.mark.parametrize("backend", ["serial", "distributed"])
-    def test_backend_reuses_warm_sessions(self, backend, four_group_spec, count_scf_solves):
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_backend_reuses_warm_sessions(self, ranks, four_group_spec, count_scf_solves):
         """Without a store, run() executes through prepare_ground_states'
-        warm sessions on every backend: one SCF per group in total."""
-        runner = BatchRunner(four_group_spec, settings=ExecutionSettings(backend=backend))
+        warm sessions at any rank count: one SCF per group in total."""
+        runner = BatchRunner(four_group_spec, settings=on_ranks(ranks))
         assert runner.prepare_ground_states() == 4
         report = runner.run()
         assert [r.status for r in report] == ["completed"] * 8
@@ -383,7 +312,10 @@ class TestBackendSurface:
         assert serial.execution["n_groups"] == 1
         assert serial.execution["n_jobs"] == 2
         assert serial.execution["schedule"] == "fifo"
-        assert "serial" in serial.execution_table()
+        assert serial.execution["ranks"] == 1
+        assert [s["rank"] for s in serial.execution["per_rank"]] == [0]
+        assert serial.execution["groups"][0]["rank"] == 0  # packed, even on one rank
+        assert "schedule=fifo ranks=1" in serial.execution_table()
 
     def test_unknown_costs_export_as_null_not_nan(self, tiny_config):
         """A failing cost model leaves NaN sentinels on the scheduled groups;
